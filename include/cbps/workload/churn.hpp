@@ -5,7 +5,8 @@
 // The ChurnDriver turns that claim into an experiment: a Poisson process
 // of joins, graceful leaves and crashes, to be combined with a workload
 // Driver and a DeliveryChecker measuring how much of the traffic still
-// reaches its subscribers (bench/churn_resilience).
+// reaches its subscribers (the churn_resilience/ and loss_resilience/
+// rows of bench/fault_scenarios).
 #pragma once
 
 #include <cstdint>
