@@ -30,10 +30,6 @@ struct ChordConfig {
   /// network harness don't need it).
   sim::SimTime stabilize_period = sim::sec(30);
 
-  /// Routing messages are dropped after this many hops (protection
-  /// against transient routing loops while the ring converges).
-  std::uint32_t max_route_hops = 512;
-
   /// Fault injection: probability that any one transmission is lost in
   /// flight (uniform per message, sampled from a dedicated RNG stream).
   /// A non-zero rate also arms the hop-by-hop ack/retry reliability
@@ -64,9 +60,9 @@ struct ChordConfig {
   /// pre-first-sample default.
   bool adaptive_rto = true;
 
-  /// Clamp for the adaptive retransmission timeout.
+  /// Floor of the adaptive retransmission timeout (the ceiling is
+  /// overlay::ReliableLink::kRtoMax, 30 s).
   sim::SimTime rto_min = sim::ms(100);
-  sim::SimTime rto_max = sim::sec(30);
 
   /// Whether the ack/retry reliability layer is active.
   bool reliable_transport() const {

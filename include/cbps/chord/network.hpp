@@ -152,9 +152,6 @@ class ChordNetwork {
     explicit HotStats(metrics::Registry& reg);
 
     metrics::Counter* send_to_dead;
-    metrics::Counter* retransmits;
-    metrics::Counter* send_failed;
-    metrics::Counter* dup_suppressed;
     metrics::Counter* route_dropped;
     metrics::Counter* route_no_candidate;
     metrics::Counter* mcast_dropped_keys;
@@ -175,7 +172,7 @@ class ChordNetwork {
         delay_us_by_class;
     metrics::Histogram* route_hops;       // hops of completed app routes
     metrics::Histogram* mcast_fanout;     // branches per m-cast split
-    metrics::Histogram* retries_per_send; // retransmits per reliable send
+    overlay::LinkStats link;  // the nodes' ack/retry layer
   };
   HotStats& hot() { return hot_; }
 

@@ -17,6 +17,7 @@
 #include "cbps/chord/location_cache.hpp"
 #include "cbps/chord/wire.hpp"
 #include "cbps/overlay/node.hpp"
+#include "cbps/overlay/reliable_link.hpp"
 #include "cbps/sim/simulator.hpp"
 
 namespace cbps::chord {
@@ -92,15 +93,15 @@ class ChordNode final : public overlay::OverlayNode {
   /// Drop the pending-send (ack/retry) table and cancel its timers.
   /// Called when this node goes offline; retransmitting from a dead
   /// node would be physically wrong.
-  void cancel_pending_sends();
+  void cancel_pending_sends() { link_.cancel_all(); }
 
   /// Reliable sends awaiting acknowledgment (introspection for tests).
-  std::size_t pending_send_count() const { return pending_sends_.size(); }
+  std::size_t pending_send_count() const { return link_.pending(); }
 
   /// Current retransmission timeout toward `peer`: the Jacobson
   /// SRTT + 4*RTTVAR estimate once a clean RTT sample exists, the
   /// configured retry_base before that (introspection for tests).
-  sim::SimTime current_rto(Key peer) const;
+  sim::SimTime current_rto(Key peer) const { return link_.rto(peer); }
 
   /// Peers evicted as unreachable, kept for post-partition re-merge
   /// probing (introspection for tests).
@@ -117,12 +118,10 @@ class ChordNode final : public overlay::OverlayNode {
   // Transmission helper: returns false (and evicts `to` from all local
   // state) when the peer is dead. When the reliability layer is armed
   // (config().reliable_transport()) and the message is ack-eligible,
-  // the send is tracked for timer-driven retransmission.
+  // the link tracks the send for timer-driven retransmission.
   bool transmit(Key to, WireMessage msg, overlay::MessageClass cls);
-  bool transmit_reliable(Key to, WireMessage msg,
-                         overlay::MessageClass cls);
-  void retransmit(std::uint64_t seq);
-  void handle_ack(std::uint64_t acked_seq);
+  // The link's failure policy: a reliable send's peer died mid-retry.
+  bool on_send_dead(Key dead, WireMessage msg);
   void on_peer_dead(Key peer);
 
   /// Best next hop toward `key` among successors, fingers, predecessor
@@ -183,36 +182,8 @@ class ChordNode final : public overlay::OverlayNode {
   static constexpr std::uint64_t kJoinReqId = ~std::uint64_t{0};
 
   // Ack/retry reliability layer (armed only when the network injects
-  // loss). Each reliable send is parked here, keyed by its sequence id,
-  // until the hop-level ack arrives or the retry budget is exhausted.
-  struct PendingSend {
-    Key to = 0;
-    WireMessage msg;             // retransmission copy (payload shared)
-    overlay::MessageClass cls = overlay::MessageClass::kControl;
-    std::uint32_t retries = 0;   // retransmissions performed so far
-    sim::SimTime timeout = 0;    // current backoff; doubles per retry
-    sim::SimTime sent_at = 0;    // original transmission time (RTT)
-    sim::Simulator::EventId timer = sim::Simulator::kInvalidEvent;
-  };
-  std::unordered_map<std::uint64_t, PendingSend> pending_sends_;
-  std::uint64_t next_send_seq_ = 1;
-  // Receiver-side duplicate suppression: per-sender set of already
-  // processed sequence ids (a retransmit whose ack was lost must be
-  // re-acked but not re-processed).
-  std::unordered_map<Key, std::unordered_set<std::uint64_t>> seen_seqs_;
-
-  // Jacobson/Karn RTT estimator, one per peer. Samples come only from
-  // acks of never-retransmitted sends (Karn's rule); the first retry
-  // timeout toward a peer is then SRTT + 4*RTTVAR instead of the fixed
-  // retry_base.
-  struct RttState {
-    double srtt_us = 0.0;
-    double rttvar_us = 0.0;
-    bool valid = false;
-  };
-  void record_rtt_sample(Key peer, sim::SimTime rtt);
-  sim::SimTime rto_for(Key peer) const;
-  std::unordered_map<Key, RttState> rtt_;
+  // loss).
+  overlay::ReliableLink<ChordNetwork, WireMessage> link_;
 
   // Peers this node evicted as unreachable. During a partition the far
   // side of the cut accumulates here; after heal, maintenance probes

@@ -131,27 +131,6 @@ using WireMessage =
                  GetNeighborsReq, GetNeighborsReply, NotifyPredMsg,
                  PullStateReq, StateTransferMsg, PredLeaveMsg, SuccLeaveMsg>;
 
-/// Pointer to the reliability sequence field of ack-eligible message
-/// types (application traffic plus the state-carrying membership
-/// messages: RouteMsg, McastMsg, ChainMsg, NeighborMsg, PullStateReq,
-/// StateTransferMsg, PredLeaveMsg, SuccLeaveMsg), nullptr for
-/// everything else. AckMsg is excluded by its field name.
-inline std::uint64_t* seq_field(WireMessage& msg) {
-  return std::visit(
-      [](auto& m) -> std::uint64_t* {
-        if constexpr (requires { m.seq; }) {
-          return &m.seq;
-        } else {
-          return nullptr;
-        }
-      },
-      msg);
-}
-
-inline const std::uint64_t* seq_field(const WireMessage& msg) {
-  return seq_field(const_cast<WireMessage&>(msg));
-}
-
 /// Sender identity attached to every transmission.
 struct Envelope {
   Key from = 0;

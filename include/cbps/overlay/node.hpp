@@ -7,6 +7,7 @@
 // the portability claim of §3.1 footnote 1.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,10 @@
 #include "cbps/overlay/payload.hpp"
 
 namespace cbps::overlay {
+
+/// Routing messages are dropped after this many hops (protection against
+/// transient routing loops while the ring converges).
+inline constexpr std::uint32_t kMaxRouteHops = 512;
 
 /// Upcalls from the overlay into the application layer. One instance is
 /// attached per overlay node.

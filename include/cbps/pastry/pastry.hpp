@@ -29,7 +29,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -38,6 +37,7 @@
 #include "cbps/metrics/trace.hpp"
 #include "cbps/overlay/node.hpp"
 #include "cbps/overlay/payload.hpp"
+#include "cbps/overlay/reliable_link.hpp"
 #include "cbps/sim/latency.hpp"
 #include "cbps/sim/loss.hpp"
 #include "cbps/sim/simulator.hpp"
@@ -48,7 +48,6 @@ struct PastryConfig {
   RingParams ring{13};
   /// Leaf-set entries per side.
   std::size_t leaf_set_size = 4;
-  std::uint32_t max_route_hops = 512;
 
   /// Fault injection + ack/retry reliability, mirroring ChordConfig:
   /// a non-zero loss rate drops transmissions uniformly at random and
@@ -93,24 +92,6 @@ struct AckMsg {
 using WireMessage =
     std::variant<RouteMsg, McastMsg, ChainMsg, NeighborMsg, AckMsg>;
 
-/// Pointer to the reliability sequence field of ack-eligible messages,
-/// nullptr for AckMsg.
-inline std::uint64_t* seq_field(WireMessage& msg) {
-  return std::visit(
-      [](auto& m) -> std::uint64_t* {
-        if constexpr (requires { m.seq; }) {
-          return &m.seq;
-        } else {
-          return nullptr;
-        }
-      },
-      msg);
-}
-
-inline const std::uint64_t* seq_field(const WireMessage& msg) {
-  return seq_field(const_cast<WireMessage&>(msg));
-}
-
 class PastryNetwork;
 
 class PastryNode final : public overlay::OverlayNode {
@@ -154,16 +135,12 @@ class PastryNode final : public overlay::OverlayNode {
   void receive(Key from, WireMessage msg);
 
   /// Drop the pending-send (ack/retry) table and cancel its timers.
-  void cancel_pending_sends();
-  std::size_t pending_send_count() const { return pending_sends_.size(); }
+  void cancel_pending_sends() { link_.cancel_all(); }
+  std::size_t pending_send_count() const { return link_.pending(); }
 
  private:
   const PastryConfig& config() const;
   bool transmit(Key to, WireMessage msg, overlay::MessageClass cls);
-  bool transmit_reliable(Key to, WireMessage msg,
-                         overlay::MessageClass cls);
-  void retransmit(std::uint64_t seq);
-  void handle_ack(std::uint64_t acked_seq);
 
   /// Next hop toward `key`: leaf set if in range, else prefix routing,
   /// else the closest preceding known node (guaranteed progress).
@@ -192,18 +169,7 @@ class PastryNode final : public overlay::OverlayNode {
   std::vector<Key> leaf_succ_;  // nearest first (clockwise)
   std::vector<std::optional<Key>> table_;  // one row per identifier bit
 
-  // Ack/retry reliability layer, mirroring ChordNode.
-  struct PendingSend {
-    Key to = 0;
-    WireMessage msg;
-    overlay::MessageClass cls = overlay::MessageClass::kControl;
-    std::uint32_t retries = 0;
-    sim::SimTime timeout = 0;
-    sim::Simulator::EventId timer = sim::Simulator::kInvalidEvent;
-  };
-  std::unordered_map<std::uint64_t, PendingSend> pending_sends_;
-  std::uint64_t next_send_seq_ = 1;
-  std::unordered_map<Key, std::unordered_set<std::uint64_t>> seen_seqs_;
+  overlay::ReliableLink<PastryNetwork, WireMessage> link_;
 };
 
 /// Simulation container: owns the nodes, the wire and a routing oracle.
@@ -250,9 +216,6 @@ class PastryNetwork {
     explicit HotStats(metrics::Registry& reg);
 
     metrics::Counter* send_to_dead;
-    metrics::Counter* retransmits;
-    metrics::Counter* send_failed;
-    metrics::Counter* dup_suppressed;
     metrics::Counter* route_dropped;
     metrics::Counter* route_no_candidate;
     metrics::Counter* mcast_dropped_keys;
@@ -263,7 +226,7 @@ class PastryNetwork {
         net_lost_by_class;
     metrics::Histogram* route_hops;
     metrics::Histogram* mcast_fanout;
-    metrics::Histogram* retries_per_send;
+    overlay::LinkStats link;  // the nodes' ack/retry layer
   };
   HotStats& hot() { return hot_; }
 

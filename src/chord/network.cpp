@@ -10,9 +10,6 @@ namespace cbps::chord {
 
 ChordNetwork::HotStats::HotStats(metrics::Registry& reg)
     : send_to_dead(reg.counter_handle("chord.send_to_dead")),
-      retransmits(reg.counter_handle("chord.retransmits")),
-      send_failed(reg.counter_handle("chord.send_failed")),
-      dup_suppressed(reg.counter_handle("chord.dup_suppressed")),
       route_dropped(reg.counter_handle("chord.route_dropped")),
       route_no_candidate(reg.counter_handle("chord.route_no_candidate")),
       mcast_dropped_keys(reg.counter_handle("chord.mcast_dropped_keys")),
@@ -28,7 +25,7 @@ ChordNetwork::HotStats::HotStats(metrics::Registry& reg)
       join_retry(reg.counter_handle("chord.join_retry")),
       route_hops(reg.histogram_handle("chord.route_hops")),
       mcast_fanout(reg.histogram_handle("chord.mcast_fanout")),
-      retries_per_send(reg.histogram_handle("chord.retries_per_send")) {
+      link(reg, "chord.") {
   for (std::size_t c = 0; c < overlay::kMessageClassCount; ++c) {
     net_lost_by_class[c] = reg.counter_handle(
         std::string("chord.net.lost.") +
@@ -38,19 +35,6 @@ ChordNetwork::HotStats::HotStats(metrics::Registry& reg)
         std::string(overlay::to_string(static_cast<overlay::MessageClass>(c))));
   }
 }
-
-namespace {
-
-// SplitMix64 finalizer: decorrelates the per-node wire-stream seeds
-// derived from (run seed, node id).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 ChordNetwork::ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg,
                            std::uint64_t seed,

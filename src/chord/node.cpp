@@ -12,40 +12,11 @@ namespace cbps::chord {
 
 using metrics::DropReason;
 using metrics::SpanKind;
+using overlay::emit_drop;
+using overlay::emit_span;
+using overlay::hop_ref;
 using overlay::MessageClass;
 using overlay::PayloadPtr;
-
-namespace {
-
-/// Trace context for the next span at this hop: the payload's sampled
-/// trace, re-parented on the previous hop's span when one is carried on
-/// the wire message.
-metrics::TraceRef hop_ref(const PayloadPtr& payload,
-                          std::uint64_t parent_span) {
-  metrics::TraceRef t = payload ? payload->trace : metrics::TraceRef{};
-  if (parent_span != 0) t.parent_span = parent_span;
-  return t;
-}
-
-/// Trace context of any wire message (unsampled for payload-free ones).
-metrics::TraceRef wire_ref(const WireMessage& msg) {
-  return std::visit(
-      [](const auto& m) -> metrics::TraceRef {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, RouteMsg> ||
-                      std::is_same_v<T, McastMsg> ||
-                      std::is_same_v<T, ChainMsg>) {
-          return hop_ref(m.payload, m.parent_span);
-        } else if constexpr (std::is_same_v<T, NeighborMsg>) {
-          return m.payload ? m.payload->trace : metrics::TraceRef{};
-        } else {
-          return {};
-        }
-      },
-      msg);
-}
-
-}  // namespace
 
 ChordNode::ChordNode(ChordNetwork& net, Key id, std::string name,
                      common::Domain domain)
@@ -54,7 +25,16 @@ ChordNode::ChordNode(ChordNetwork& net, Key id, std::string name,
       name_(std::move(name)),
       domain_(domain),
       fingers_(net.ring(), id),
-      cache_(net.ring(), net.config().location_cache_size) {}
+      cache_(net.ring(), net.config().location_cache_size),
+      link_(net, id, domain, net.hot().link,
+            {.armed = net.config().reliable_transport(),
+             .max_retries = net.config().max_retries,
+             .retry_base = net.config().retry_base,
+             .adaptive_rto = net.config().adaptive_rto,
+             .rto_min = net.config().rto_min},
+            [this](Key dead, WireMessage msg) {
+              return on_send_dead(dead, std::move(msg));
+            }) {}
 
 RingParams ChordNode::ring() const { return net_.ring(); }
 
@@ -70,164 +50,38 @@ bool ChordNode::covers(Key k) const {
 
 bool ChordNode::transmit(Key to, WireMessage msg, MessageClass cls) {
   CBPS_ASSERT_MSG(to != id_, "self-transmit must be a local delivery");
-  // Gossip rides best-effort even on a reliable wire: the epidemic's own
-  // redundancy (fan-out + anti-entropy repair) is its loss recovery, and
-  // per-hop acks would double-charge the overhead the benches compare.
-  if (config().reliable_transport() && cls != MessageClass::kGossip &&
-      seq_field(msg) != nullptr) {
-    return transmit_reliable(to, std::move(msg), cls);
-  }
-  if (!net_.transmit(id_, to, std::move(msg), cls)) {
-    net_.hot().send_to_dead->inc();
-    on_peer_dead(to);
-    return false;
-  }
-  return true;
+  if (link_.send(to, std::move(msg), cls)) return true;
+  net_.hot().send_to_dead->inc();
+  on_peer_dead(to);
+  return false;
 }
 
-// ---------------------------------------------------------------------------
-// Ack/retry reliability (armed only when the network injects loss)
-// ---------------------------------------------------------------------------
-
-bool ChordNode::transmit_reliable(Key to, WireMessage msg,
-                                  MessageClass cls) {
-  const std::uint64_t seq = next_send_seq_++;
-  *seq_field(msg) = seq;
-  if (!net_.transmit(id_, to, msg, cls)) {
-    net_.hot().send_to_dead->inc();
-    on_peer_dead(to);
-    return false;
-  }
-  PendingSend p;
-  p.to = to;
-  p.cls = cls;
-  p.timeout = rto_for(to);
-  p.sent_at = net_.sim().now();
-  // Self-owned timer: keyed by (and sharded with) this node even when
-  // the send was issued from a driver's global-context callback, so the
-  // cancel in handle_ack is always a same-shard operation.
-  const common::ActorScope as(domain_);
-  p.timer =
-      net_.sim().schedule_after(p.timeout, [this, seq] { retransmit(seq); });
-  p.msg = std::move(msg);  // retransmission copy; payload ptr is shared
-  pending_sends_.emplace(seq, std::move(p));
-  return true;
-}
-
-void ChordNode::retransmit(std::uint64_t seq) {
-  auto it = pending_sends_.find(seq);
-  if (it == pending_sends_.end()) return;  // acked since the timer fired
-  PendingSend& p = it->second;
-  if (p.retries >= config().max_retries) {
-    net_.hot().send_failed->inc();
-    net_.hot().retries_per_send->add(p.retries);
-    if (auto* ts = net_.trace_sink()) {
-      if (const auto t = wire_ref(p.msg); t.sampled()) {
-        const auto now = net_.sim().now();
-        ts->emit(t, SpanKind::kDrop, id_, now, now,
-                 static_cast<std::uint64_t>(DropReason::kRetryBudget),
-                 p.retries);
-      }
-    }
-    pending_sends_.erase(it);
-    return;
-  }
-  ++p.retries;
-  net_.hot().retransmits->inc();
-  if (auto* ts = net_.trace_sink()) {
-    if (const auto t = wire_ref(p.msg); t.sampled()) {
-      const auto now = net_.sim().now();
-      ts->emit(t, SpanKind::kRetry, id_, now, now, p.retries);
-    }
-  }
-  if (net_.transmit(id_, p.to, p.msg, p.cls)) {
-    p.timeout *= 2;  // exponential backoff
-    const common::ActorScope as(domain_);
-    p.timer = net_.sim().schedule_after(p.timeout,
-                                        [this, seq] { retransmit(seq); });
-    return;
-  }
+bool ChordNode::on_send_dead(Key dead, WireMessage msg) {
   // The peer died while we were retrying. Evict it, then re-route the
-  // message through a live candidate where the semantics allow it. The
-  // seq is reset to 0 so the re-injected copy gets a fresh id (and a
-  // fresh pending entry) at its next transmit.
-  const Key dead = p.to;
-  WireMessage msg = std::move(p.msg);
-  pending_sends_.erase(it);
+  // message through a live candidate where the semantics allow it.
   net_.hot().send_to_dead->inc();
   on_peer_dead(dead);
   if (auto* r = std::get_if<RouteMsg>(&msg)) {
-    r->seq = 0;
     forward_route(std::move(*r));
   } else if (auto* m = std::get_if<McastMsg>(&msg)) {
     run_mcast(std::move(m->targets), m->payload, m->hops,
               /*initiator=*/false, m->parent_span);
   } else if (auto* c = std::get_if<ChainMsg>(&msg)) {
-    c->seq = 0;
     forward_chain(std::move(*c));
   } else if (auto* pl = std::get_if<PredLeaveMsg>(&msg)) {
     // The successor we were handing our state to died mid-handover;
     // hand it to the next live successor instead (we already evicted
     // the dead one above).
     const Key succ = successor_id();
-    if (succ != id_) {
-      pl->seq = 0;
-      transmit(succ, std::move(*pl), MessageClass::kStateTransfer);
-    } else {
-      net_.hot().send_failed->inc();
-    }
+    if (succ == id_) return false;
+    transmit(succ, std::move(*pl), MessageClass::kStateTransfer);
   } else {
     // NeighborMsg / SuccLeaveMsg / state-pull traffic: the peer it
-    // addressed is gone and no equivalent recipient exists; count the
-    // loss.
-    net_.hot().send_failed->inc();
+    // addressed is gone and no equivalent recipient exists; the link
+    // counts the loss.
+    return false;
   }
-}
-
-void ChordNode::handle_ack(std::uint64_t acked_seq) {
-  auto it = pending_sends_.find(acked_seq);
-  if (it == pending_sends_.end()) return;  // late ack of a retransmit
-  net_.hot().retries_per_send->add(it->second.retries);
-  // Karn's rule: only never-retransmitted sends yield RTT samples — an
-  // ack after a retransmission is ambiguous about which copy it answers.
-  if (it->second.retries == 0 && config().adaptive_rto) {
-    record_rtt_sample(it->second.to, net_.sim().now() - it->second.sent_at);
-  }
-  net_.sim().cancel(it->second.timer);
-  pending_sends_.erase(it);
-}
-
-void ChordNode::record_rtt_sample(Key peer, sim::SimTime rtt) {
-  RttState& s = rtt_[peer];
-  const double r = static_cast<double>(rtt);
-  if (!s.valid) {
-    // RFC 6298 initialization: SRTT = R, RTTVAR = R/2.
-    s.srtt_us = r;
-    s.rttvar_us = r / 2.0;
-    s.valid = true;
-    return;
-  }
-  // Jacobson's EWMA (alpha = 1/8, beta = 1/4), variance first.
-  const double err = r - s.srtt_us;
-  s.rttvar_us += ((err < 0 ? -err : err) - s.rttvar_us) / 4.0;
-  s.srtt_us += err / 8.0;
-}
-
-sim::SimTime ChordNode::rto_for(Key peer) const {
-  if (!config().adaptive_rto) return config().retry_base;
-  const auto it = rtt_.find(peer);
-  if (it == rtt_.end() || !it->second.valid) return config().retry_base;
-  const double rto = it->second.srtt_us + 4.0 * it->second.rttvar_us;
-  return std::clamp(static_cast<sim::SimTime>(rto), config().rto_min,
-                    config().rto_max);
-}
-
-sim::SimTime ChordNode::current_rto(Key peer) const { return rto_for(peer); }
-
-void ChordNode::cancel_pending_sends() {
-  // detlint: unordered-ok(cancel marks slots stale; commutative, no output)
-  for (auto& [_, p] : pending_sends_) net_.sim().cancel(p.timer);
-  pending_sends_.clear();
+  return true;
 }
 
 void ChordNode::go_offline() {
@@ -341,16 +195,10 @@ void ChordNode::deliver_route(const RouteMsg& msg) {
 }
 
 void ChordNode::forward_route(RouteMsg msg) {
-  metrics::TraceSink* ts = net_.trace_sink();
-  if (msg.hops >= config().max_route_hops) {
+  if (msg.hops >= overlay::kMaxRouteHops) {
     net_.hot().route_dropped->inc();
-    if (ts != nullptr) {
-      if (const auto t = hop_ref(msg.payload, msg.parent_span); t.sampled()) {
-        const auto now = net_.sim().now();
-        ts->emit(t, SpanKind::kDrop, id_, now, now,
-                 static_cast<std::uint64_t>(DropReason::kMaxHops), msg.hops);
-      }
-    }
+    emit_drop(net_, id_, hop_ref(msg.payload, msg.parent_span),
+              DropReason::kMaxHops, msg.hops);
     CBPS_LOG_WARN << "node " << id_ << ": dropping route to " << msg.target
                   << " after " << msg.hops << " hops";
     return;
@@ -358,15 +206,11 @@ void ChordNode::forward_route(RouteMsg msg) {
   const MessageClass cls = msg.payload->message_class();
   // One span per forwarding step, re-parenting the wire message so the
   // next hop's span chains to this one.
-  if (ts != nullptr) {
-    if (const auto t = hop_ref(msg.payload, msg.parent_span); t.sampled()) {
-      const auto now = net_.sim().now();
-      if (const auto span = ts->emit(t, SpanKind::kRouteHop, id_, now, now,
-                                     msg.target, msg.hops);
-          span != 0) {
-        msg.parent_span = span;
-      }
-    }
+  if (const auto span =
+          emit_span(net_, id_, hop_ref(msg.payload, msg.parent_span),
+                    SpanKind::kRouteHop, msg.target, msg.hops);
+      span != 0) {
+    msg.parent_span = span;
   }
   for (;;) {
     if (covers(msg.target)) {  // candidate eviction can make us the owner
@@ -376,15 +220,8 @@ void ChordNode::forward_route(RouteMsg msg) {
     const auto nh = next_hop(msg.target);
     if (!nh) {
       net_.hot().route_no_candidate->inc();
-      if (ts != nullptr) {
-        if (const auto t = hop_ref(msg.payload, msg.parent_span);
-            t.sampled()) {
-          const auto now = net_.sim().now();
-          ts->emit(t, SpanKind::kDrop, id_, now, now,
-                   static_cast<std::uint64_t>(DropReason::kNoCandidate),
-                   msg.hops);
-        }
-      }
+      emit_drop(net_, id_, hop_ref(msg.payload, msg.parent_span),
+                DropReason::kNoCandidate, msg.hops);
       return;
     }
     RouteMsg out = msg;
@@ -412,17 +249,10 @@ void ChordNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
                           std::uint32_t hops, bool initiator,
                           std::uint64_t parent_span) {
   if (offline_) return;
-  metrics::TraceSink* ts = net_.trace_sink();
-  if (hops >= config().max_route_hops) {
+  if (hops >= overlay::kMaxRouteHops) {
     net_.hot().mcast_dropped_keys->inc(keys.size());
-    if (ts != nullptr) {
-      if (const auto t = hop_ref(payload, parent_span); t.sampled()) {
-        const auto now = net_.sim().now();
-        ts->emit(t, SpanKind::kDrop, id_, now, now,
-                 static_cast<std::uint64_t>(DropReason::kMaxHops),
-                 keys.size());
-      }
-    }
+    emit_drop(net_, id_, hop_ref(payload, parent_span), DropReason::kMaxHops,
+              keys.size());
     return;
   }
 
@@ -460,14 +290,8 @@ void ChordNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
   }
   if (!part.undeliverable.empty()) {
     net_.hot().mcast_dropped_keys->inc(part.undeliverable.size());
-    if (ts != nullptr) {
-      if (const auto t = hop_ref(payload, parent_span); t.sampled()) {
-        const auto now = net_.sim().now();
-        ts->emit(t, SpanKind::kDrop, id_, now, now,
-                 static_cast<std::uint64_t>(DropReason::kMcastDead),
-                 part.undeliverable.size());
-      }
-    }
+    emit_drop(net_, id_, hop_ref(payload, parent_span),
+              DropReason::kMcastDead, part.undeliverable.size());
   }
 
   std::size_t branches = 0;
@@ -480,16 +304,12 @@ void ChordNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
   std::uint64_t split_span = parent_span;
   if (branches > 0) {
     net_.hot().mcast_fanout->add(static_cast<double>(branches));
-    if (ts != nullptr) {
-      if (const auto t = hop_ref(payload, parent_span); t.sampled()) {
-        const auto now = net_.sim().now();
-        if (const auto span =
-                ts->emit(t, SpanKind::kMcastSplit, id_, now, now,
-                         delegated_keys + part.local.size(), branches);
-            span != 0) {
-          split_span = span;
-        }
-      }
+    if (const auto span = emit_span(net_, id_, hop_ref(payload, parent_span),
+                                    SpanKind::kMcastSplit,
+                                    delegated_keys + part.local.size(),
+                                    branches);
+        span != 0) {
+      split_span = span;
     }
   }
 
@@ -567,29 +387,18 @@ void ChordNode::run_chain(std::vector<Key> keys, const PayloadPtr& payload,
 }
 
 void ChordNode::forward_chain(ChainMsg msg) {
-  metrics::TraceSink* ts = net_.trace_sink();
-  if (msg.hops >= config().max_route_hops) {
+  if (msg.hops >= overlay::kMaxRouteHops) {
     net_.hot().chain_dropped->inc();
-    if (ts != nullptr) {
-      if (const auto t = hop_ref(msg.payload, msg.parent_span); t.sampled()) {
-        const auto now = net_.sim().now();
-        ts->emit(t, SpanKind::kDrop, id_, now, now,
-                 static_cast<std::uint64_t>(DropReason::kMaxHops),
-                 msg.targets.size());
-      }
-    }
+    emit_drop(net_, id_, hop_ref(msg.payload, msg.parent_span),
+              DropReason::kMaxHops, msg.targets.size());
     return;
   }
   const MessageClass cls = msg.payload->message_class();
-  if (ts != nullptr) {
-    if (const auto t = hop_ref(msg.payload, msg.parent_span); t.sampled()) {
-      const auto now = net_.sim().now();
-      if (const auto span = ts->emit(t, SpanKind::kRouteHop, id_, now, now,
-                                     msg.targets.front(), msg.hops);
-          span != 0) {
-        msg.parent_span = span;
-      }
-    }
+  if (const auto span =
+          emit_span(net_, id_, hop_ref(msg.payload, msg.parent_span),
+                    SpanKind::kRouteHop, msg.targets.front(), msg.hops);
+      span != 0) {
+    msg.parent_span = span;
   }
   for (;;) {
     if (covers(msg.targets.front())) {
@@ -600,15 +409,8 @@ void ChordNode::forward_chain(ChainMsg msg) {
     const auto nh = next_hop(msg.targets.front());
     if (!nh) {
       net_.hot().chain_no_candidate->inc();
-      if (ts != nullptr) {
-        if (const auto t = hop_ref(msg.payload, msg.parent_span);
-            t.sampled()) {
-          const auto now = net_.sim().now();
-          ts->emit(t, SpanKind::kDrop, id_, now, now,
-                   static_cast<std::uint64_t>(DropReason::kNoCandidate),
-                   msg.targets.size());
-        }
-      }
+      emit_drop(net_, id_, hop_ref(msg.payload, msg.parent_span),
+                DropReason::kNoCandidate, msg.targets.size());
       return;
     }
     ChainMsg out = msg;
@@ -664,7 +466,7 @@ void ChordNode::handle_find_successor(FindSuccessorReq msg) {
              MessageClass::kControl);
     return;
   }
-  if (msg.hops >= config().max_route_hops) {
+  if (msg.hops >= overlay::kMaxRouteHops) {
     net_.hot().lookup_dropped->inc();
     return;
   }
@@ -721,7 +523,7 @@ void ChordNode::handle_find_successor_reply(const FindSuccessorReply& msg) {
 
 void ChordNode::start_maintenance() {
   if (maintenance_timer_ != 0 || config().stabilize_period == 0) return;
-  // Self-owned periodic timer; see transmit_reliable for why the scope.
+  // Self-owned periodic timer, keyed by this node (see the ctor docs).
   const common::ActorScope as(domain_);
   maintenance_timer_ = net_.sim().add_timer(config().stabilize_period,
                                             [this] { maintenance_tick(); });
@@ -957,16 +759,12 @@ void ChordNode::receive(Envelope env) {
     transmit(env.from, NotifyPredMsg{}, MessageClass::kControl);
   }
 
-  // Reliability: ack every seq-stamped message, then suppress
-  // retransmits we already processed. The ack is sent unconditionally —
-  // a duplicate means our previous ack was lost in flight.
-  if (const std::uint64_t* seq = seq_field(env.msg);
-      seq != nullptr && *seq != 0) {
-    transmit(env.from, AckMsg{*seq}, MessageClass::kControl);
-    if (!seen_seqs_[env.from].insert(*seq).second) {
-      net_.hot().dup_suppressed->inc();
-      return;
-    }
+  // Reliability: the link consumes acks and duplicates; our ack goes
+  // through transmit, so a dead sender is evicted like any other peer.
+  if (!link_.receive(env.from, env.msg, [&](std::uint64_t seq) {
+        transmit(env.from, AckMsg{seq}, MessageClass::kControl);
+      })) {
+    return;
   }
 
   std::visit(
@@ -980,8 +778,6 @@ void ChordNode::receive(Envelope env) {
           handle_chain(std::move(m));
         } else if constexpr (std::is_same_v<T, NeighborMsg>) {
           if (app_ != nullptr) app_->on_deliver(id_, m.payload);
-        } else if constexpr (std::is_same_v<T, AckMsg>) {
-          handle_ack(m.acked_seq);
         } else if constexpr (std::is_same_v<T, OwnerInfoMsg>) {
           cache_.insert(m.owner, m.owner_range_lo);
         } else if constexpr (std::is_same_v<T, FindSuccessorReq>) {

@@ -8,9 +8,6 @@ namespace cbps::pastry {
 
 PastryNetwork::HotStats::HotStats(metrics::Registry& reg)
     : send_to_dead(reg.counter_handle("pastry.send_to_dead")),
-      retransmits(reg.counter_handle("pastry.retransmits")),
-      send_failed(reg.counter_handle("pastry.send_failed")),
-      dup_suppressed(reg.counter_handle("pastry.dup_suppressed")),
       route_dropped(reg.counter_handle("pastry.route_dropped")),
       route_no_candidate(reg.counter_handle("pastry.route_no_candidate")),
       mcast_dropped_keys(reg.counter_handle("pastry.mcast_dropped_keys")),
@@ -19,26 +16,13 @@ PastryNetwork::HotStats::HotStats(metrics::Registry& reg)
       net_lost(reg.counter_handle("pastry.net.lost")),
       route_hops(reg.histogram_handle("pastry.route_hops")),
       mcast_fanout(reg.histogram_handle("pastry.mcast_fanout")),
-      retries_per_send(reg.histogram_handle("pastry.retries_per_send")) {
+      link(reg, "pastry.") {
   for (std::size_t c = 0; c < overlay::kMessageClassCount; ++c) {
     net_lost_by_class[c] = reg.counter_handle(
         std::string("pastry.net.lost.") +
         std::string(overlay::to_string(static_cast<overlay::MessageClass>(c))));
   }
 }
-
-namespace {
-
-// SplitMix64 finalizer: decorrelates per-sender wire streams derived
-// from (run seed, node id). Same mixer as ChordNetwork.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 PastryNetwork::PastryNetwork(sim::SimulatorBase& sim, PastryConfig cfg,
                              std::uint64_t seed,

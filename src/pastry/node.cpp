@@ -10,41 +10,26 @@ namespace cbps::pastry {
 
 using metrics::DropReason;
 using metrics::SpanKind;
+using overlay::emit_drop;
+using overlay::emit_span;
+using overlay::hop_ref;
 using overlay::MessageClass;
 using overlay::PayloadPtr;
 
-namespace {
-
-/// Trace context for the next span at this hop (see chord/node.cpp).
-metrics::TraceRef hop_ref(const PayloadPtr& payload,
-                          std::uint64_t parent_span) {
-  metrics::TraceRef t = payload ? payload->trace : metrics::TraceRef{};
-  if (parent_span != 0) t.parent_span = parent_span;
-  return t;
-}
-
-metrics::TraceRef wire_ref(const WireMessage& msg) {
-  return std::visit(
-      [](const auto& m) -> metrics::TraceRef {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, RouteMsg> ||
-                      std::is_same_v<T, McastMsg> ||
-                      std::is_same_v<T, ChainMsg>) {
-          return hop_ref(m.payload, m.parent_span);
-        } else if constexpr (std::is_same_v<T, NeighborMsg>) {
-          return m.payload ? m.payload->trace : metrics::TraceRef{};
-        } else {
-          return {};
-        }
-      },
-      msg);
-}
-
-}  // namespace
-
 PastryNode::PastryNode(PastryNetwork& net, Key id, std::string name,
                        common::Domain domain)
-    : net_(net), id_(id), name_(std::move(name)), domain_(domain) {
+    : net_(net),
+      id_(id),
+      name_(std::move(name)),
+      domain_(domain),
+      // Fixed RTO: Pastry has no adaptive estimator. A peer found dead
+      // mid-retry (only possible if it was removed out-of-band: the
+      // harness has no membership dynamics) is a counted failed send.
+      link_(net, id, domain, net.hot().link,
+            {.armed = net.config().reliable_transport(),
+             .max_retries = net.config().max_retries,
+             .retry_base = net.config().retry_base},
+            [](Key, WireMessage) { return false; }) {
   table_.resize(net_.ring().bits());
 }
 
@@ -75,98 +60,9 @@ void PastryNode::install_state(std::vector<Key> leaf_pred,
 
 bool PastryNode::transmit(Key to, WireMessage msg, MessageClass cls) {
   CBPS_ASSERT_MSG(to != id_, "self-transmit must be a local delivery");
-  // Gossip is best-effort even on a reliable wire (see ChordNode): the
-  // epidemic's redundancy is its loss recovery.
-  if (config().reliable_transport() && cls != MessageClass::kGossip &&
-      seq_field(msg) != nullptr) {
-    return transmit_reliable(to, std::move(msg), cls);
-  }
-  if (!net_.transmit(id_, to, std::move(msg), cls)) {
-    net_.hot().send_to_dead->inc();
-    return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Ack/retry reliability (armed only when the network injects loss)
-// ---------------------------------------------------------------------------
-
-bool PastryNode::transmit_reliable(Key to, WireMessage msg,
-                                   MessageClass cls) {
-  const std::uint64_t seq = next_send_seq_++;
-  *seq_field(msg) = seq;
-  if (!net_.transmit(id_, to, msg, cls)) {
-    net_.hot().send_to_dead->inc();
-    return false;
-  }
-  PendingSend p;
-  p.to = to;
-  p.cls = cls;
-  p.timeout = config().retry_base;
-  {
-    // The retry timer is this node's own event: key/place it on this
-    // node's domain so handle_ack's cancel is always same-shard.
-    const common::ActorScope as(domain_);
-    p.timer = net_.sim().schedule_after(p.timeout,
-                                        [this, seq] { retransmit(seq); });
-  }
-  p.msg = std::move(msg);  // retransmission copy; payload ptr is shared
-  pending_sends_.emplace(seq, std::move(p));
-  return true;
-}
-
-void PastryNode::retransmit(std::uint64_t seq) {
-  auto it = pending_sends_.find(seq);
-  if (it == pending_sends_.end()) return;  // acked since the timer fired
-  PendingSend& p = it->second;
-  if (p.retries >= config().max_retries) {
-    net_.hot().send_failed->inc();
-    net_.hot().retries_per_send->add(p.retries);
-    if (auto* ts = net_.trace_sink()) {
-      if (const auto t = wire_ref(p.msg); t.sampled()) {
-        const auto now = net_.sim().now();
-        ts->emit(t, SpanKind::kDrop, id_, now, now,
-                 static_cast<std::uint64_t>(DropReason::kRetryBudget),
-                 p.retries);
-      }
-    }
-    pending_sends_.erase(it);
-    return;
-  }
-  ++p.retries;
-  net_.hot().retransmits->inc();
-  if (auto* ts = net_.trace_sink()) {
-    if (const auto t = wire_ref(p.msg); t.sampled()) {
-      const auto now = net_.sim().now();
-      ts->emit(t, SpanKind::kRetry, id_, now, now, p.retries);
-    }
-  }
-  if (net_.transmit(id_, p.to, p.msg, p.cls)) {
-    p.timeout *= 2;  // exponential backoff
-    const common::ActorScope as(domain_);
-    p.timer = net_.sim().schedule_after(p.timeout,
-                                        [this, seq] { retransmit(seq); });
-    return;
-  }
-  // The Pastry harness has no membership dynamics, so this only fires if
-  // a peer was removed out-of-band; count the loss.
-  pending_sends_.erase(it);
-  net_.hot().send_failed->inc();
-}
-
-void PastryNode::handle_ack(std::uint64_t acked_seq) {
-  auto it = pending_sends_.find(acked_seq);
-  if (it == pending_sends_.end()) return;  // late ack of a retransmit
-  net_.hot().retries_per_send->add(it->second.retries);
-  net_.sim().cancel(it->second.timer);
-  pending_sends_.erase(it);
-}
-
-void PastryNode::cancel_pending_sends() {
-  // detlint: unordered-ok(cancel marks slots stale; commutative, no output)
-  for (auto& [_, p] : pending_sends_) net_.sim().cancel(p.timer);
-  pending_sends_.clear();
+  if (link_.send(to, std::move(msg), cls)) return true;
+  net_.hot().send_to_dead->inc();
+  return false;
 }
 
 unsigned PastryNode::shared_prefix_bits(Key key) const {
@@ -259,37 +155,27 @@ void PastryNode::handle_route(RouteMsg msg) {
     deliver_route(msg);
     return;
   }
-  if (msg.hops >= config().max_route_hops) {
+  if (msg.hops >= overlay::kMaxRouteHops) {
     net_.hot().route_dropped->inc();
-    if (auto* ts = net_.trace_sink()) {
-      const auto now = net_.sim().now();
-      ts->emit(hop_ref(msg.payload, msg.parent_span), SpanKind::kDrop, id_,
-               now, now, static_cast<std::uint64_t>(DropReason::kMaxHops),
-               msg.hops);
-    }
+    emit_drop(net_, id_, hop_ref(msg.payload, msg.parent_span),
+              DropReason::kMaxHops, msg.hops);
     return;
   }
   const auto nh = next_hop(msg.target);
   if (!nh) {
     net_.hot().route_no_candidate->inc();
-    if (auto* ts = net_.trace_sink()) {
-      const auto now = net_.sim().now();
-      ts->emit(hop_ref(msg.payload, msg.parent_span), SpanKind::kDrop, id_,
-               now, now,
-               static_cast<std::uint64_t>(DropReason::kNoCandidate),
-               msg.hops);
-    }
+    emit_drop(net_, id_, hop_ref(msg.payload, msg.parent_span),
+              DropReason::kNoCandidate, msg.hops);
     return;
   }
   const MessageClass cls = msg.payload->message_class();
   RouteMsg out = std::move(msg);
   ++out.hops;
-  if (auto* ts = net_.trace_sink()) {
-    const auto now = net_.sim().now();
-    const std::uint64_t span =
-        ts->emit(hop_ref(out.payload, out.parent_span), SpanKind::kRouteHop,
-                 id_, now, now, out.target, out.hops);
-    if (span != 0) out.parent_span = span;
+  if (const auto span =
+          emit_span(net_, id_, hop_ref(out.payload, out.parent_span),
+                    SpanKind::kRouteHop, out.target, out.hops);
+      span != 0) {
+    out.parent_span = span;
   }
   transmit(*nh, std::move(out), cls);
 }
@@ -306,13 +192,10 @@ void PastryNode::m_cast(std::vector<Key> keys, PayloadPtr payload) {
 void PastryNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
                            std::uint32_t hops, bool initiator,
                            std::uint64_t parent_span) {
-  if (hops >= config().max_route_hops) {
+  if (hops >= overlay::kMaxRouteHops) {
     net_.hot().mcast_dropped_keys->inc(keys.size());
-    if (auto* ts = net_.trace_sink()) {
-      const auto now = net_.sim().now();
-      ts->emit(hop_ref(payload, parent_span), SpanKind::kDrop, id_, now, now,
-               static_cast<std::uint64_t>(DropReason::kMaxHops), keys.size());
-    }
+    emit_drop(net_, id_, hop_ref(payload, parent_span), DropReason::kMaxHops,
+              keys.size());
     return;
   }
   const std::vector<Key> candidates = known_nodes_by_distance();
@@ -335,12 +218,8 @@ void PastryNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
   }
   if (!part.undeliverable.empty()) {
     net_.hot().mcast_dropped_keys->inc(part.undeliverable.size());
-    if (auto* ts = net_.trace_sink()) {
-      const auto now = net_.sim().now();
-      ts->emit(hop_ref(payload, parent_span), SpanKind::kDrop, id_, now, now,
-               static_cast<std::uint64_t>(DropReason::kMcastDead),
-               part.undeliverable.size());
-    }
+    emit_drop(net_, id_, hop_ref(payload, parent_span),
+              DropReason::kMcastDead, part.undeliverable.size());
   }
   std::size_t branches = 0;
   std::size_t delegated_keys = 0;
@@ -352,12 +231,12 @@ void PastryNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
   std::uint64_t split_span = parent_span;
   if (branches > 0) {
     net_.hot().mcast_fanout->add(static_cast<double>(branches));
-    if (auto* ts = net_.trace_sink()) {
-      const auto now = net_.sim().now();
-      const std::uint64_t span =
-          ts->emit(hop_ref(payload, parent_span), SpanKind::kMcastSplit, id_,
-                   now, now, delegated_keys + part.local.size(), branches);
-      if (span != 0) split_span = span;
+    if (const auto span = emit_span(net_, id_, hop_ref(payload, parent_span),
+                                    SpanKind::kMcastSplit,
+                                    delegated_keys + part.local.size(),
+                                    branches);
+        span != 0) {
+      split_span = span;
     }
   }
   const MessageClass cls = payload->message_class();
@@ -402,14 +281,10 @@ void PastryNode::run_chain(std::vector<Key> keys, const PayloadPtr& payload,
 }
 
 void PastryNode::forward_chain(ChainMsg msg) {
-  if (msg.hops >= config().max_route_hops) {
+  if (msg.hops >= overlay::kMaxRouteHops) {
     net_.hot().chain_dropped->inc();
-    if (auto* ts = net_.trace_sink()) {
-      const auto now = net_.sim().now();
-      ts->emit(hop_ref(msg.payload, msg.parent_span), SpanKind::kDrop, id_,
-               now, now, static_cast<std::uint64_t>(DropReason::kMaxHops),
-               msg.targets.size());
-    }
+    emit_drop(net_, id_, hop_ref(msg.payload, msg.parent_span),
+              DropReason::kMaxHops, msg.targets.size());
     return;
   }
   if (covers(msg.targets.front())) {
@@ -420,24 +295,18 @@ void PastryNode::forward_chain(ChainMsg msg) {
   const auto nh = next_hop(msg.targets.front());
   if (!nh) {
     net_.hot().chain_no_candidate->inc();
-    if (auto* ts = net_.trace_sink()) {
-      const auto now = net_.sim().now();
-      ts->emit(hop_ref(msg.payload, msg.parent_span), SpanKind::kDrop, id_,
-               now, now,
-               static_cast<std::uint64_t>(DropReason::kNoCandidate),
-               msg.targets.size());
-    }
+    emit_drop(net_, id_, hop_ref(msg.payload, msg.parent_span),
+              DropReason::kNoCandidate, msg.targets.size());
     return;
   }
   const MessageClass cls = msg.payload->message_class();
   ChainMsg out = std::move(msg);
   ++out.hops;
-  if (auto* ts = net_.trace_sink()) {
-    const auto now = net_.sim().now();
-    const std::uint64_t span =
-        ts->emit(hop_ref(out.payload, out.parent_span), SpanKind::kRouteHop,
-                 id_, now, now, out.targets.front(), out.hops);
-    if (span != 0) out.parent_span = span;
+  if (const auto span =
+          emit_span(net_, id_, hop_ref(out.payload, out.parent_span),
+                    SpanKind::kRouteHop, out.targets.front(), out.hops);
+      span != 0) {
+    out.parent_span = span;
   }
   transmit(*nh, std::move(out), cls);
 }
@@ -476,23 +345,11 @@ void PastryNode::send_to_predecessor(PayloadPtr payload) {
 
 void PastryNode::receive(Key from, WireMessage msg) {
   const logctx::ScopedNode log_node(id_);
-  // Reliability: ack every seq-stamped message, then suppress
-  // retransmits we already processed (the ack is re-sent — a duplicate
-  // means our previous ack was lost in flight).
-  if (const std::uint64_t* seq = seq_field(msg);
-      seq != nullptr && *seq != 0) {
-    transmit(from, AckMsg{*seq}, MessageClass::kControl);
-    if (!seen_seqs_[from].insert(*seq).second) {
-      net_.hot().dup_suppressed->inc();
-      if (auto* ts = net_.trace_sink()) {
-        if (const auto t = wire_ref(msg); t.sampled()) {
-          const auto now = net_.sim().now();
-          ts->emit(t, SpanKind::kDrop, id_, now, now,
-                   static_cast<std::uint64_t>(DropReason::kDuplicate));
-        }
-      }
-      return;
-    }
+  // Reliability: the link consumes acks and duplicates.
+  if (!link_.receive(from, msg, [&](std::uint64_t seq) {
+        transmit(from, AckMsg{seq}, MessageClass::kControl);
+      })) {
+    return;
   }
 
   std::visit(
@@ -512,8 +369,6 @@ void PastryNode::receive(Key from, WireMessage msg) {
           }
         } else if constexpr (std::is_same_v<T, NeighborMsg>) {
           if (app_ != nullptr) app_->on_deliver(id_, m.payload);
-        } else if constexpr (std::is_same_v<T, AckMsg>) {
-          handle_ack(m.acked_seq);
         }
       },
       msg);

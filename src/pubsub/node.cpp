@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "cbps/common/hash.hpp"
 #include "cbps/common/logging.hpp"
 #include "cbps/common/sorted_view.hpp"
 
@@ -13,20 +14,6 @@ namespace cbps::pubsub {
 using metrics::DropReason;
 using metrics::SpanKind;
 using overlay::PayloadPtr;
-
-namespace {
-
-// SplitMix64 finalizer: decorrelates the per-node gossip RNG streams
-// derived from (base seed, node id) — adjacent ids must not produce
-// adjacent states.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 PubSubNode::PubSubNode(overlay::OverlayNode& overlay,
                        sim::SimulatorBase& sim, const AkMapping& mapping,

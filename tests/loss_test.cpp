@@ -1,6 +1,6 @@
 // Tests for message-loss fault injection (sim::LossModel) and the
 // hop-by-hop ack/retry reliability layer: the loss model itself, the
-// Chord and Pastry transport mechanics (retransmission, duplicate
+// shared transport mechanics on both overlays (retransmission, duplicate
 // suppression, retry-budget exhaustion, zero-overhead gating), and
 // end-to-end exactly-once pub/sub delivery under loss and churn.
 #include <gtest/gtest.h>
@@ -8,13 +8,16 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cbps/chord/network.hpp"
 #include "cbps/chord/node.hpp"
 #include "cbps/common/rng.hpp"
+#include "cbps/metrics/trace.hpp"
 #include "cbps/pastry/pastry.hpp"
 #include "cbps/pubsub/delivery_checker.hpp"
 #include "cbps/sim/loss.hpp"
@@ -267,55 +270,175 @@ TEST(ChordLossTest, GracefulLeaveHandsOverStateDespiteHeavyLoss) {
   EXPECT_EQ(net.registry().counter_value("chord.send_failed"), 0u);
 }
 
-TEST(ChordLossTest, RetryBudgetExhaustionCountsFailedSend) {
+TEST(ChordLossTest, DuplicateSuppressionEmitsOneDropSpanEach) {
+  // Regression: Chord used to swallow duplicates silently while Pastry
+  // traced them; the shared link emits a kDrop/kDuplicate span for every
+  // suppressed retransmit of a sampled message.
   chord::ChordConfig cfg;
-  cfg.loss_rate = 1.0;  // black hole: nothing ever arrives
-  cfg.max_retries = 3;
-  ChordLossHarness h(2, cfg, 7);
-  const std::vector<Key> ids = h.net->alive_ids();
-  // Key owned by the peer, so the send must cross the (dead) wire.
-  h.net->node(ids[0])->send(ids[1], std::make_shared<TagPayload>(1));
+  cfg.loss_rate = 0.05;
+  ChordLossHarness h(64, cfg, 4);
+  metrics::TraceSink sink(1.0);
+  h.net->set_trace_sink(&sink);
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const Key key = static_cast<Key>(rng.uniform_int(
+        0, static_cast<std::int64_t>(h.net->ring().max_key())));
+    auto payload = std::make_shared<TagPayload>(i);
+    payload->trace = {sink.maybe_start_trace(), 0};
+    h.net->alive_node(static_cast<std::size_t>(rng.uniform_int(0, 63)))
+        .send(key, std::move(payload));
+  }
   h.sim.run();
 
-  EXPECT_TRUE(h.deliveries.empty());
-  EXPECT_EQ(h.counter("chord.retransmits"), 3u);
-  EXPECT_EQ(h.counter("chord.send_failed"), 1u);
-  EXPECT_EQ(h.counter("chord.net.lost"), 4u);  // original + 3 retries
-  EXPECT_EQ(h.pending_total(), 0u);  // budget spent => entry dropped
+  const auto dup_spans = std::count_if(
+      sink.spans().begin(), sink.spans().end(), [](const metrics::Span& s) {
+        return s.kind == metrics::SpanKind::kDrop &&
+               s.a == static_cast<std::uint64_t>(
+                          metrics::DropReason::kDuplicate);
+      });
+  EXPECT_GT(h.counter("chord.dup_suppressed"), 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(dup_spans),
+            h.counter("chord.dup_suppressed"));
 }
 
-TEST(ChordLossTest, ZeroLossRateKeepsReliabilityLayerDisarmed) {
+// ---------------------------------------------------------------------------
+// Shared ack/retry mechanics (overlay::ReliableLink), run on both overlays
+// ---------------------------------------------------------------------------
+
+enum class Overlay { kChord, kPastry };
+
+void PrintTo(Overlay o, std::ostream* os) {
+  *os << (o == Overlay::kChord ? "chord" : "pastry");
+}
+
+// A static ring of either overlay with one TagApp per node.
+class LossyRing {
+ public:
+  virtual ~LossyRing() = default;
+  virtual overlay::OverlayNode& node(Key id) = 0;
+  /// Registry counter `stat` under the overlay's prefix.
+  virtual std::uint64_t counter(const std::string& stat) = 0;
+  virtual std::size_t pending_total() = 0;
+  virtual std::uint64_t total_hops() = 0;
+  virtual RingParams ring() = 0;
+
+  sim::Simulator sim;
+  std::vector<Key> ids;  // ring order
+  std::vector<TagDelivery> deliveries;
+};
+
+template <class Net>
+class LossyRingOf final : public LossyRing {
+ public:
+  template <class Cfg>
+  LossyRingOf(std::string prefix, std::size_t n, const Cfg& cfg,
+              std::uint64_t seed)
+      : prefix_(std::move(prefix)), net_(sim, cfg, seed) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.push_back(net_.add_node("n" + std::to_string(i)).id());
+    }
+    std::sort(ids.begin(), ids.end());
+    net_.build_static_ring();
+    for (Key id : ids) {
+      apps_.push_back(std::make_unique<TagApp>(id, deliveries));
+      net_.node(id)->set_app(apps_.back().get());
+    }
+  }
+
+  overlay::OverlayNode& node(Key id) override { return *net_.node(id); }
+  std::uint64_t counter(const std::string& stat) override {
+    return net_.registry().counter_value(prefix_ + stat);
+  }
+  std::size_t pending_total() override {
+    std::size_t total = 0;
+    for (Key id : ids) total += net_.node(id)->pending_send_count();
+    return total;
+  }
+  std::uint64_t total_hops() override { return net_.traffic().total_hops(); }
+  RingParams ring() override { return net_.ring(); }
+
+ private:
+  std::string prefix_;
+  Net net_;
+  std::vector<std::unique_ptr<TagApp>> apps_;
+};
+
+struct LinkKnobs {
+  double loss_rate = 0.0;
+  std::uint32_t max_retries = 5;
+  sim::SimTime retry_base = sim::ms(250);
+};
+
+std::unique_ptr<LossyRing> make_ring(Overlay overlay, std::size_t n,
+                                     const LinkKnobs& knobs,
+                                     std::uint64_t seed) {
+  const auto tune = [&](auto cfg) {
+    cfg.loss_rate = knobs.loss_rate;
+    cfg.max_retries = knobs.max_retries;
+    cfg.retry_base = knobs.retry_base;
+    return cfg;
+  };
+  if (overlay == Overlay::kChord) {
+    return std::make_unique<LossyRingOf<chord::ChordNetwork>>(
+        "chord.", n, tune(chord::ChordConfig{}), seed);
+  }
+  return std::make_unique<LossyRingOf<pastry::PastryNetwork>>(
+      "pastry.", n, tune(pastry::PastryConfig{}), seed);
+}
+
+class ReliableLinkTest : public ::testing::TestWithParam<Overlay> {};
+
+TEST_P(ReliableLinkTest, RetryBudgetExhaustionCountsFailedSend) {
+  const auto h = make_ring(GetParam(), 2,
+                           {.loss_rate = 1.0,  // black hole: nothing arrives
+                            .max_retries = 3},
+                           7);
+  // Key owned by the peer, so the send must cross the (dead) wire.
+  h->node(h->ids[0]).send(h->ids[1], std::make_shared<TagPayload>(1));
+  h->sim.run();
+
+  EXPECT_TRUE(h->deliveries.empty());
+  EXPECT_EQ(h->counter("retransmits"), 3u);
+  EXPECT_EQ(h->counter("send_failed"), 1u);
+  EXPECT_EQ(h->counter("net.lost"), 4u);  // original + 3 retries
+  EXPECT_EQ(h->pending_total(), 0u);  // budget spent => entry dropped
+}
+
+TEST_P(ReliableLinkTest, ZeroLossRateKeepsReliabilityLayerDisarmed) {
   // At loss 0 the reliability machinery must be completely inert: no
   // acks, no timers, no parked sends — and therefore the retry knobs
   // must not change a single transmitted message.
-  auto run = [](chord::ChordConfig cfg) {
-    ChordLossHarness h(24, cfg, 8);
+  auto run = [this](const LinkKnobs& knobs) {
+    const auto h = make_ring(GetParam(), 24, knobs, 8);
     Rng rng(9);
     for (int i = 0; i < 100; ++i) {
       const Key key = static_cast<Key>(rng.uniform_int(
-          0, static_cast<std::int64_t>(h.net->ring().max_key())));
-      h.net->alive_node(static_cast<std::size_t>(rng.uniform_int(0, 23)))
+          0, static_cast<std::int64_t>(h->ring().max_key())));
+      h->node(h->ids[static_cast<std::size_t>(rng.uniform_int(0, 23))])
           .send(key, std::make_shared<TagPayload>(i));
     }
-    h.sim.run();
-    EXPECT_EQ(h.counter("chord.net.lost"), 0u);
-    EXPECT_EQ(h.counter("chord.retransmits"), 0u);
-    EXPECT_EQ(h.counter("chord.dup_suppressed"), 0u);
-    EXPECT_EQ(h.pending_total(), 0u);
+    h->sim.run();
+    EXPECT_EQ(h->counter("net.lost"), 0u);
+    EXPECT_EQ(h->counter("retransmits"), 0u);
+    EXPECT_EQ(h->counter("dup_suppressed"), 0u);
+    EXPECT_EQ(h->pending_total(), 0u);
     std::vector<std::pair<Key, int>> log;
-    for (const TagDelivery& d : h.deliveries) log.emplace_back(d.node, d.tag);
-    return std::make_pair(log, h.net->traffic().total_hops());
+    for (const TagDelivery& d : h->deliveries) log.emplace_back(d.node, d.tag);
+    return std::make_pair(log, h->total_hops());
   };
 
-  chord::ChordConfig plain;
-  chord::ChordConfig tweaked;
-  tweaked.max_retries = 50;
-  tweaked.retry_base = sim::ms(1);
-  const auto a = run(plain);
-  const auto b = run(tweaked);
+  const auto a = run({});
+  const auto b = run({.max_retries = 50, .retry_base = sim::ms(1)});
   EXPECT_EQ(a.first, b.first);    // identical deliveries, in order
   EXPECT_EQ(a.second, b.second);  // identical wire traffic
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Overlays, ReliableLinkTest,
+    ::testing::Values(Overlay::kChord, Overlay::kPastry),
+    [](const ::testing::TestParamInfo<Overlay>& info) {
+      return info.param == Overlay::kChord ? "chord" : "pastry";
+    });
 
 // ---------------------------------------------------------------------------
 // Pastry ack/retry
@@ -355,6 +478,15 @@ TEST(PastryLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
   EXPECT_GT(net.registry().counter_value("pastry.net.lost"), 0u);
   EXPECT_GT(net.registry().counter_value("pastry.retransmits"), 0u);
   EXPECT_EQ(net.registry().counter_value("pastry.send_failed"), 0u);
+  // A lost ack forces a retransmit of an already-delivered message: the
+  // receiver re-acks it and swallows it rather than re-delivering. Acks
+  // are the only control traffic here, so "every arriving copy is
+  // acked" reads off the wire counts.
+  EXPECT_GT(net.registry().counter_value("pastry.net.lost.control"), 0u);
+  EXPECT_GT(net.registry().counter_value("pastry.dup_suppressed"), 0u);
+  EXPECT_EQ(net.traffic().hops(MessageClass::kControl),
+            net.traffic().hops(MessageClass::kPublish) -
+                net.registry().counter_value("pastry.net.lost.publish"));
   std::size_t pending = 0;
   for (Key id : net.ids()) pending += net.node(id)->pending_send_count();
   EXPECT_EQ(pending, 0u);
