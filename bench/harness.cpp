@@ -18,6 +18,9 @@ using overlay::MessageClass;
 
 namespace {
 
+/// Entries per sketch emitted into the metrics JSON hot-key tables.
+constexpr std::size_t kHotKeyTableSize = 16;
+
 void append_escaped(std::string& out, const std::string& s) {
   for (const char c : s) {
     if (c == '"' || c == '\\') out += '\\';
@@ -53,8 +56,7 @@ void append_topk(std::string& out, const metrics::TopK& sketch,
 /// sampler's rows.
 void write_metrics_json(const std::string& path,
                         pubsub::PubSubSystem& system,
-                        const ExperimentResult& r,
-                        std::size_t hot_key_table_size) {
+                        const ExperimentResult& r) {
   const metrics::Registry& reg = system.network().registry();
   std::string out = "{\n  \"counters\": {";
   bool first = true;
@@ -124,7 +126,7 @@ void write_metrics_json(const std::string& path,
     out += "    \"";
     out += name;
     out += "\": ";
-    append_topk(out, *sketch, hot_key_table_size);
+    append_topk(out, *sketch, kHotKeyTableSize);
   }
   out += "\n  },\n  \"summary\": {";
   const std::pair<const char*, double> summary[] = {
@@ -453,8 +455,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     write_trace_file(cfg.trace_path, *system.trace_sink());
   }
   if (!cfg.metrics_json_path.empty()) {
-    write_metrics_json(cfg.metrics_json_path, system, r,
-                       cfg.hot_key_table_size);
+    write_metrics_json(cfg.metrics_json_path, system, r);
   }
   return r;
 }

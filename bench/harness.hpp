@@ -110,8 +110,6 @@ struct ExperimentConfig {
   /// Capacity of the per-node rendezvous-key heavy-hitter sketches
   /// (metrics::TopK); count error is bounded by per-node load / capacity.
   std::size_t key_topk_capacity = metrics::TopK::kDefaultCapacity;
-  /// Entries per sketch emitted into the metrics JSON hot-key tables.
-  std::size_t hot_key_table_size = 16;
   /// Period of the time-series sampler. 0 = off, unless
   /// metrics_json_path is set (then it defaults to 1 simulated second).
   sim::SimTime sample_period = 0;

@@ -150,7 +150,7 @@ Result run_pastry(pubsub::MappingKind kind,
   for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));
   net.build_static_ring();
   Result r = drive(
-      sim, net.ids(),
+      sim, net.alive_ids(),
       [&net](Key id) -> overlay::OverlayNode& { return *net.node(id); },
       net.traffic(), kind, transport);
   metrics::Histogram& hops = net.registry().histogram("pastry.route_hops");

@@ -126,23 +126,30 @@ class ChordNode final : public overlay::OverlayNode {
 
   /// Best next hop toward `key` among successors, fingers, predecessor
   /// and the location cache; nullopt when this node covers `key` or has
-  /// no live candidate.
-  std::optional<Key> next_hop(Key key) const;
+  /// no live candidate. Not const: a location-cache hit refreshes the
+  /// entry's LRU position.
+  std::optional<Key> next_hop(Key key);
   std::optional<Key> closest_preceding(Key key) const;
 
   // Message handlers.
   void handle_route(RouteMsg msg);
   void deliver_route(const RouteMsg& msg);
   void forward_route(RouteMsg msg);
-  void handle_mcast(McastMsg msg);
   void run_mcast(std::vector<Key> keys, const overlay::PayloadPtr& payload,
                  std::uint32_t hops, bool initiator,
                  std::uint64_t parent_span = 0);
+  /// Hand the m-cast/chain targets this node covers to the app: inline
+  /// at a relay, as a self-delivery at the initiator.
+  void deliver_mcast_local(const std::vector<Key>& covered,
+                           const overlay::PayloadPtr& payload,
+                           bool initiator);
   void handle_chain(ChainMsg msg);
   void run_chain(std::vector<Key> keys, const overlay::PayloadPtr& payload,
                  std::uint32_t hops, bool initiator,
                  std::uint64_t parent_span = 0);
   void forward_chain(ChainMsg msg);
+  /// Neighbor-send fallback with no live neighbor: a local delivery.
+  void deliver_to_self(overlay::PayloadPtr payload);
   void handle_find_successor(FindSuccessorReq msg);
   void handle_find_successor_reply(const FindSuccessorReply& msg);
   void handle_get_neighbors(const GetNeighborsReq& msg);

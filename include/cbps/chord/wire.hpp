@@ -1,4 +1,6 @@
-// Wire-level messages exchanged between Chord nodes.
+// Wire-level messages exchanged between Chord nodes: the shared
+// application messages (overlay/wire.hpp) plus Chord's own lookup,
+// stabilization and membership messages.
 //
 // Everything a node sends travels as one of these variants inside an
 // Envelope that also carries the sender's identity and (claimed) covered
@@ -11,54 +13,16 @@
 
 #include "cbps/common/types.hpp"
 #include "cbps/overlay/payload.hpp"
+#include "cbps/overlay/wire.hpp"
 
 namespace cbps::chord {
 
-/// Application unicast being routed to the node covering `target`
-/// (paper's send(m, k)).
-struct RouteMsg {
-  Key target = 0;
-  overlay::PayloadPtr payload;
-  std::uint32_t hops = 0;  // transmissions so far
-  Key origin = 0;          // node that issued the send()
-  std::uint64_t seq = 0;   // reliability sequence id (0 = no ack wanted)
-  std::uint64_t parent_span = 0;  // trace: span of the previous hop
-};
-
-/// Native multicast (paper §4.3.1, Figure 4). `targets` is the subset of
-/// the original key set delegated to the recipient, sorted by ring
-/// distance from the original sender.
-struct McastMsg {
-  std::vector<Key> targets;
-  overlay::PayloadPtr payload;
-  std::uint32_t hops = 0;  // delegation depth guard
-  std::uint64_t seq = 0;   // reliability sequence id (0 = no ack wanted)
-  std::uint64_t parent_span = 0;  // trace: span of the delegating split
-};
-
-/// Conservative unicast-based one-to-many baseline: the remaining keys
-/// are visited in ring order, hopping successor-by-successor.
-struct ChainMsg {
-  std::vector<Key> targets;  // sorted in ring order from targets.front()
-  overlay::PayloadPtr payload;
-  std::uint32_t hops = 0;
-  std::uint64_t seq = 0;     // reliability sequence id (0 = no ack wanted)
-  std::uint64_t parent_span = 0;  // trace: span of the previous hop
-};
-
-/// Direct one-hop application message to a ring neighbor (§4.3.2
-/// collecting uses these).
-struct NeighborMsg {
-  overlay::PayloadPtr payload;
-  std::uint64_t seq = 0;  // reliability sequence id (0 = no ack wanted)
-};
-
-/// Hop-level acknowledgment of a reliable application message. The
-/// field is deliberately not named `seq` so acks never look like
-/// ack-requesting traffic themselves.
-struct AckMsg {
-  std::uint64_t acked_seq = 0;
-};
+// The application messages every overlay shares (overlay/wire.hpp).
+using overlay::AckMsg;
+using overlay::ChainMsg;
+using overlay::McastMsg;
+using overlay::NeighborMsg;
+using overlay::RouteMsg;
 
 /// Routing feedback: `owner` covers (owner_range_lo, owner] and delivered
 /// a route for the origin; the origin caches this.

@@ -12,11 +12,16 @@
 //     every node receives the multicast at most once.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "cbps/common/ring.hpp"
 #include "cbps/common/types.hpp"
+#include "cbps/metrics/trace.hpp"
+#include "cbps/overlay/payload.hpp"
+#include "cbps/overlay/reliable_link.hpp"
 
 namespace cbps::overlay {
 
@@ -35,5 +40,56 @@ struct McastPartition {
 McastPartition partition_mcast_targets(
     RingParams ring, Key self, const std::function<bool(Key)>& covers,
     std::vector<Key> targets, const std::vector<Key>& candidates);
+
+struct McastSplit {
+  McastPartition part;
+  /// Trace span the delegated McastMsgs chain to: the kMcastSplit span,
+  /// or the incoming parent span when nothing was delegated or traced.
+  std::uint64_t span = 0;
+};
+
+/// One m-cast step at `self`: partition `keys` over `candidates`, hand
+/// the covered subset to `deliver_local` (when non-empty), count and
+/// drop the undeliverable keys (kMcastDead), and account the split —
+/// one `mcast_fanout` sample and one kMcastSplit span (a = local plus
+/// delegated keys, b = non-empty branches) when anything is delegated.
+/// The caller then transmits part.delegated[j] to candidates[j].
+/// `Net` provides ring(), hot() (OverlayStats), sim() and trace_sink().
+template <class Net, class Covers, class DeliverLocal>
+McastSplit split_mcast(Net& net, Key self, Covers&& covers,
+                       std::vector<Key> keys,
+                       const std::vector<Key>& candidates,
+                       const PayloadPtr& payload, std::uint64_t parent_span,
+                       DeliverLocal&& deliver_local) {
+  McastSplit out{partition_mcast_targets(net.ring(), self,
+                                         std::forward<Covers>(covers),
+                                         std::move(keys), candidates),
+                 parent_span};
+  const McastPartition& part = out.part;
+  if (!part.local.empty()) deliver_local(part.local);
+  if (!part.undeliverable.empty()) {
+    net.hot().mcast_dropped_keys->inc(part.undeliverable.size());
+    emit_drop(net, self, hop_ref(payload, parent_span),
+              metrics::DropReason::kMcastDead, part.undeliverable.size());
+  }
+  std::size_t branches = 0;
+  std::size_t delegated_keys = 0;
+  for (const auto& d : part.delegated) {
+    if (d.empty()) continue;
+    ++branches;
+    delegated_keys += d.size();
+  }
+  if (branches > 0) {
+    net.hot().mcast_fanout->add(static_cast<double>(branches));
+    if (const auto span = emit_span(net, self, hop_ref(payload, parent_span),
+                                    metrics::SpanKind::kMcastSplit,
+                                    delegated_keys + part.local.size(),
+                                    branches);
+        span != 0) {
+      out.span = span;
+    }
+  }
+  return out;
+}
 
 }  // namespace cbps::overlay

@@ -64,6 +64,19 @@ void emit_drop(Net& net, Key node, const metrics::TraceRef& t,
             static_cast<std::uint64_t>(why), n);
 }
 
+/// A kRouteHop span (a = `target`, b = hops so far) for forwarding wire
+/// message `msg`, re-parenting `msg` on it so the next hop's span chains
+/// to this one.
+template <class Net, class Msg>
+void emit_route_hop(Net& net, Key node, Msg& msg, Key target) {
+  if (const auto span =
+          emit_span(net, node, hop_ref(msg.payload, msg.parent_span),
+                    metrics::SpanKind::kRouteHop, target, msg.hops);
+      span != 0) {
+    msg.parent_span = span;
+  }
+}
+
 /// Trace context of any wire message (unsampled for payload-free ones).
 template <class... Ts>
 metrics::TraceRef wire_ref(const std::variant<Ts...>& msg) {

@@ -15,39 +15,41 @@
 //    i (binary Plaxton routing, O(log N) hops).
 //  - The leaf set holds the nearest ring neighbors on both sides and
 //    finishes every route.
-//  - m-cast reuses the shared Figure-4 segment partitioning, with
+//  - m-cast reuses the shared Figure-4 step (overlay::split_mcast), with
 //    routing-table + leaf nodes as delegation candidates — every node
 //    still receives the multicast at most once.
+//  - Everything else on the wire is shared with Chord and lives in
+//    overlay/: the five application messages, the per-sender wire
+//    streams, the registry handles (overlay::OverlayStats, "pastry."
+//    prefix), the network container (overlay::NetworkCore) and the
+//    ack/retry link. This module is the routing state (leaf set +
+//    prefix table), its route/chain forwarding and the static ring
+//    builder.
 //  - The network supports statically built topologies (the membership
 //    dynamics of the paper's evaluation run on Chord).
 #pragma once
 
-#include <array>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "cbps/common/ring.hpp"
-#include "cbps/metrics/registry.hpp"
-#include "cbps/metrics/trace.hpp"
 #include "cbps/overlay/node.hpp"
 #include "cbps/overlay/payload.hpp"
 #include "cbps/overlay/reliable_link.hpp"
+#include "cbps/overlay/wire.hpp"
 #include "cbps/sim/latency.hpp"
-#include "cbps/sim/loss.hpp"
 #include "cbps/sim/simulator.hpp"
 
 namespace cbps::pastry {
 
+/// Leaf-set entries per side.
+inline constexpr std::size_t kLeafSetSize = 4;
+
 struct PastryConfig {
   RingParams ring{13};
-  /// Leaf-set entries per side.
-  std::size_t leaf_set_size = 4;
 
   /// Fault injection + ack/retry reliability, mirroring ChordConfig:
   /// a non-zero loss rate drops transmissions uniformly at random and
@@ -58,37 +60,14 @@ struct PastryConfig {
   bool reliable_transport() const { return loss_rate > 0.0; }
 };
 
-// Wire messages (static topology: application traffic only).
-struct RouteMsg {
-  Key target = 0;
-  overlay::PayloadPtr payload;
-  std::uint32_t hops = 0;
-  std::uint64_t seq = 0;  // reliability sequence id (0 = no ack wanted)
-  std::uint64_t parent_span = 0;  // trace: span of the previous hop
-};
-struct McastMsg {
-  std::vector<Key> targets;
-  overlay::PayloadPtr payload;
-  std::uint32_t hops = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t parent_span = 0;  // trace: span of the delegating split
-};
-struct ChainMsg {
-  std::vector<Key> targets;
-  overlay::PayloadPtr payload;
-  std::uint32_t hops = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t parent_span = 0;  // trace: span of the previous hop
-};
-struct NeighborMsg {
-  overlay::PayloadPtr payload;
-  std::uint64_t seq = 0;
-};
-/// Hop-level acknowledgment; field deliberately not named `seq` so acks
-/// are never themselves ack-eligible.
-struct AckMsg {
-  std::uint64_t acked_seq = 0;
-};
+// Wire messages (static topology: application traffic only). A
+// RouteMsg's `origin` is set but never read: Pastry sends no owner
+// feedback.
+using overlay::AckMsg;
+using overlay::ChainMsg;
+using overlay::McastMsg;
+using overlay::NeighborMsg;
+using overlay::RouteMsg;
 using WireMessage =
     std::variant<RouteMsg, McastMsg, ChainMsg, NeighborMsg, AckMsg>;
 
@@ -139,7 +118,6 @@ class PastryNode final : public overlay::OverlayNode {
   std::size_t pending_send_count() const { return link_.pending(); }
 
  private:
-  const PastryConfig& config() const;
   bool transmit(Key to, WireMessage msg, overlay::MessageClass cls);
 
   /// Next hop toward `key`: leaf set if in range, else prefix routing,
@@ -154,10 +132,18 @@ class PastryNode final : public overlay::OverlayNode {
   void run_mcast(std::vector<Key> keys, const overlay::PayloadPtr& payload,
                  std::uint32_t hops, bool initiator,
                  std::uint64_t parent_span = 0);
+  /// Hand the m-cast/chain targets this node covers to the app: inline
+  /// at a relay, as a self-delivery at the initiator.
+  void deliver_mcast_local(const std::vector<Key>& covered,
+                           const overlay::PayloadPtr& payload,
+                           bool initiator);
   void run_chain(std::vector<Key> keys, const overlay::PayloadPtr& payload,
                  std::uint32_t hops, bool initiator,
                  std::uint64_t parent_span = 0);
   void forward_chain(ChainMsg msg);
+  /// Neighbor send to the nearest of `leaves`; alone, a local delivery.
+  void send_to_neighbor(const std::vector<Key>& leaves,
+                        overlay::PayloadPtr payload);
 
   PastryNetwork& net_;
   Key id_;
@@ -172,87 +158,21 @@ class PastryNode final : public overlay::OverlayNode {
   overlay::ReliableLink<PastryNetwork, WireMessage> link_;
 };
 
-/// Simulation container: owns the nodes, the wire and a routing oracle.
-class PastryNetwork {
+/// Simulation container: owns the nodes, the wire and a routing oracle
+/// (overlay::NetworkCore); every node is alive.
+class PastryNetwork final
+    : public overlay::NetworkCore<PastryNetwork, PastryNode, PastryConfig,
+                                  overlay::OverlayStats> {
  public:
   PastryNetwork(sim::SimulatorBase& sim, PastryConfig cfg,
                 std::uint64_t seed,
                 std::unique_ptr<sim::LatencyModel> latency = nullptr);
-  ~PastryNetwork();
-
-  PastryNetwork(const PastryNetwork&) = delete;
-  PastryNetwork& operator=(const PastryNetwork&) = delete;
-
-  PastryNode& add_node(const std::string& name);
-  PastryNode& add_node_with_id(Key id, std::string name);
 
   /// Build exact leaf sets and routing tables for all nodes.
   void build_static_ring();
 
-  PastryNode* node(Key id);
-  std::size_t node_count() const { return nodes_.size(); }
-  std::vector<Key> ids() const { return ids_; }
-  /// Node by dense index, in id order. O(1): ids are a sorted vector.
-  PastryNode& node_at(std::size_t i);
-  Key oracle_successor(Key key) const;
-
   bool transmit(Key from, Key to, WireMessage msg,
                 overlay::MessageClass cls);
-  void self_deliver(std::function<void()> action);
-
-  sim::SimulatorBase& sim() { return sim_; }
-  overlay::TrafficStats& traffic() { return traffic_; }
-  metrics::Registry& registry() { return registry_; }
-  const PastryConfig& config() const { return cfg_; }
-  RingParams ring() const { return cfg_.ring; }
-
-  /// Install a per-run trace sink (nullptr = tracing off, the default).
-  void set_trace_sink(metrics::TraceSink* sink) { trace_sink_ = sink; }
-  metrics::TraceSink* trace_sink() const { return trace_sink_; }
-
-  /// Pre-resolved registry handles for per-message hot paths (mirrors
-  /// ChordNetwork::HotStats).
-  struct HotStats {
-    explicit HotStats(metrics::Registry& reg);
-
-    metrics::Counter* send_to_dead;
-    metrics::Counter* route_dropped;
-    metrics::Counter* route_no_candidate;
-    metrics::Counter* mcast_dropped_keys;
-    metrics::Counter* chain_dropped;
-    metrics::Counter* chain_no_candidate;
-    metrics::Counter* net_lost;
-    std::array<metrics::Counter*, overlay::kMessageClassCount>
-        net_lost_by_class;
-    metrics::Histogram* route_hops;
-    metrics::Histogram* mcast_fanout;
-    overlay::LinkStats link;  // the nodes' ack/retry layer
-  };
-  HotStats& hot() { return hot_; }
-
- private:
-  // Per-sender wire state (domain + dedicated latency/loss streams +
-  // loss-channel clone); see ChordNetwork::WireState for the rationale.
-  struct WireState {
-    common::Domain domain = common::kGlobalDomain;
-    Rng latency_rng;
-    Rng loss_rng;
-    std::unique_ptr<sim::LossModel> loss;  // null = lossless channel
-  };
-
-  sim::SimulatorBase& sim_;
-  PastryConfig cfg_;
-  std::uint64_t seed_;
-  Rng rng_;
-  std::unique_ptr<sim::LatencyModel> latency_;
-  std::unique_ptr<sim::LossModel> loss_;  // prototype; null = lossless
-  std::unordered_map<Key, WireState> wire_;
-  overlay::TrafficStats traffic_;
-  metrics::Registry registry_;
-  HotStats hot_{registry_};
-  metrics::TraceSink* trace_sink_ = nullptr;
-  std::map<Key, std::unique_ptr<PastryNode>> nodes_;
-  std::vector<Key> ids_;  // sorted
 };
 
 }  // namespace cbps::pastry

@@ -3,35 +3,21 @@
 #include <algorithm>
 #include <utility>
 
-#include "cbps/common/hash.hpp"
 #include "cbps/common/logging.hpp"
 
 namespace cbps::chord {
 
-ChordNetwork::HotStats::HotStats(metrics::Registry& reg)
-    : send_to_dead(reg.counter_handle("chord.send_to_dead")),
-      route_dropped(reg.counter_handle("chord.route_dropped")),
-      route_no_candidate(reg.counter_handle("chord.route_no_candidate")),
-      mcast_dropped_keys(reg.counter_handle("chord.mcast_dropped_keys")),
-      chain_dropped(reg.counter_handle("chord.chain_dropped")),
-      chain_no_candidate(reg.counter_handle("chord.chain_no_candidate")),
-      lookup_dropped(reg.counter_handle("chord.lookup_dropped")),
-      lookup_no_candidate(reg.counter_handle("chord.lookup_no_candidate")),
-      net_partition_refused(
-          reg.counter_handle("chord.net.partition_refused")),
-      net_partition_dropped(
-          reg.counter_handle("chord.net.partition_dropped")),
-      net_lost(reg.counter_handle("chord.net.lost")),
-      join_retry(reg.counter_handle("chord.join_retry")),
-      route_hops(reg.histogram_handle("chord.route_hops")),
-      mcast_fanout(reg.histogram_handle("chord.mcast_fanout")),
-      link(reg, "chord.") {
+HotStats::HotStats(metrics::Registry& reg, std::string_view prefix)
+    : OverlayStats(reg, prefix) {
+  const std::string p(prefix);
+  lookup_dropped = reg.counter_handle(p + "lookup_dropped");
+  lookup_no_candidate = reg.counter_handle(p + "lookup_no_candidate");
+  net_partition_refused = reg.counter_handle(p + "net.partition_refused");
+  net_partition_dropped = reg.counter_handle(p + "net.partition_dropped");
+  join_retry = reg.counter_handle(p + "join_retry");
   for (std::size_t c = 0; c < overlay::kMessageClassCount; ++c) {
-    net_lost_by_class[c] = reg.counter_handle(
-        std::string("chord.net.lost.") +
-        std::string(overlay::to_string(static_cast<overlay::MessageClass>(c))));
     delay_us_by_class[c] = reg.histogram_handle(
-        std::string("chord.net.delay_us.") +
+        p + "net.delay_us." +
         std::string(overlay::to_string(static_cast<overlay::MessageClass>(c))));
   }
 }
@@ -39,50 +25,12 @@ ChordNetwork::HotStats::HotStats(metrics::Registry& reg)
 ChordNetwork::ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg,
                            std::uint64_t seed,
                            std::unique_ptr<sim::LatencyModel> latency)
-    : sim_(sim),
-      cfg_(cfg),
-      seed_(seed),
-      rng_(seed),
-      latency_(latency ? std::move(latency) : sim::default_latency()) {
-  if (cfg_.loss_rate > 0.0) {
-    loss_ = std::make_unique<sim::UniformLoss>(cfg_.loss_rate);
-  }
-}
+    : NetworkCore(sim, cfg, seed, std::move(latency), "chord.") {}
 
 ChordNetwork::~ChordNetwork() {
-  // Timers owned by nodes reference the simulator; stop them while the
-  // nodes still exist.
-  for (auto& [_, n] : nodes_) {
-    n->stop_maintenance();
-    n->cancel_pending_sends();
-  }
-}
-
-ChordNode& ChordNetwork::add_node(const std::string& name) {
-  Key id = consistent_hash(name, cfg_.ring);
-  int salt = 0;
-  while (nodes_.contains(id)) {
-    id = consistent_hash(name + "#" + std::to_string(salt++), cfg_.ring);
-  }
-  return add_node_with_id(id, name);
-}
-
-ChordNode& ChordNetwork::add_node_with_id(Key id, std::string name) {
-  CBPS_ASSERT_MSG(!nodes_.contains(id), "duplicate node id");
-  CBPS_ASSERT(id <= cfg_.ring.max_key());
-  // Per-sender wire streams seeded from (run seed, node id): the draw
-  // sequences are independent of registration order and engine choice.
-  // Dedicated loss stream so enabling loss never perturbs latency.
-  WireState ws{sim_.register_domain(), Rng(mix64(seed_ ^ mix64(id))),
-               Rng(mix64(seed_ ^ mix64(id) ^ 0x9e3779b97f4a7c15ull)),
-               loss_ ? loss_->clone() : nullptr};
-  auto node =
-      std::make_unique<ChordNode>(*this, id, std::move(name), ws.domain);
-  ChordNode& ref = *node;
-  nodes_.emplace(id, std::move(node));
-  wire_.emplace(id, std::move(ws));
-  alive_.insert(std::lower_bound(alive_.begin(), alive_.end(), id), id);
-  return ref;
+  // Maintenance timers reference the simulator; stop them while the
+  // nodes still exist (NetworkCore then cancels their pending sends).
+  for (auto& [_, n] : nodes_) n->stop_maintenance();
 }
 
 void ChordNetwork::build_static_ring() {
@@ -202,31 +150,6 @@ std::size_t ChordNetwork::loss_bad_state_count() const {
   return n;
 }
 
-bool ChordNetwork::is_alive(Key id) const {
-  return std::binary_search(alive_.begin(), alive_.end(), id);
-}
-
-ChordNode* ChordNetwork::node(Key id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
-}
-
-const ChordNode* ChordNetwork::node(Key id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
-}
-
-ChordNode& ChordNetwork::alive_node(std::size_t i) {
-  CBPS_ASSERT(i < alive_.size());
-  return *nodes_.at(alive_[i]);
-}
-
-Key ChordNetwork::oracle_successor(Key key) const {
-  CBPS_ASSERT_MSG(!alive_.empty(), "no alive nodes");
-  auto it = std::lower_bound(alive_.begin(), alive_.end(), key);
-  return it == alive_.end() ? alive_.front() : *it;
-}
-
 void ChordNetwork::start_maintenance_all() {
   for (Key id : alive_) nodes_.at(id)->start_maintenance();
 }
@@ -237,19 +160,14 @@ void ChordNetwork::stop_maintenance_all() {
 
 namespace {
 
-/// Approximate wire size of a message: the application payload plus
-/// 8 bytes per carried key.
+/// Approximate wire size of a message: the shared application messages
+/// size themselves (overlay/wire.hpp); state transfers carry their state.
 std::size_t wire_size_bytes(const WireMessage& msg) {
   return std::visit(
       [](const auto& m) -> std::size_t {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, RouteMsg>) {
-          return m.payload->size_bytes() + 8;
-        } else if constexpr (std::is_same_v<T, McastMsg> ||
-                             std::is_same_v<T, ChainMsg>) {
-          return m.payload->size_bytes() + 8 * m.targets.size();
-        } else if constexpr (std::is_same_v<T, NeighborMsg>) {
-          return m.payload->size_bytes();
+        if constexpr (requires { overlay::wire_size_bytes(m); }) {
+          return overlay::wire_size_bytes(m);
         } else if constexpr (std::is_same_v<T, StateTransferMsg>) {
           return m.state ? m.state->size_bytes() : 0;
         } else if constexpr (std::is_same_v<T, PredLeaveMsg>) {
@@ -288,13 +206,8 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
   // only ever called from the sending node's own execution context (or
   // from the exclusive global context), so the draws race with nothing
   // and replay identically at any shard count.
-  WireState& src_wire = wire_.at(from);
-  if (src_wire.loss != nullptr && src_wire.loss->drop(src_wire.loss_rng)) {
-    // The message hit the wire (hop/bytes recorded) but never arrives.
-    hot_.net_lost->inc();
-    hot_.net_lost_by_class[static_cast<std::size_t>(cls)]->inc();
-    return true;
-  }
+  overlay::WireState& src_wire = wire_.at(from);
+  if (src_wire.lost(hot_, cls)) return true;
 
   const ChordNode& src = *nodes_.at(from);
   auto env = std::make_shared<Envelope>();
@@ -335,10 +248,6 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
     nodes_.at(to)->receive(std::move(*env));
   });
   return true;
-}
-
-void ChordNetwork::self_deliver(std::function<void()> action) {
-  sim_.schedule_after(0, std::move(action));
 }
 
 }  // namespace cbps::chord

@@ -11,9 +11,8 @@
 namespace cbps::chord {
 
 using metrics::DropReason;
-using metrics::SpanKind;
 using overlay::emit_drop;
-using overlay::emit_span;
+using overlay::emit_route_hop;
 using overlay::hop_ref;
 using overlay::MessageClass;
 using overlay::PayloadPtr;
@@ -142,12 +141,11 @@ std::optional<Key> ChordNode::closest_preceding(Key key) const {
   return best;
 }
 
-std::optional<Key> ChordNode::next_hop(Key key) const {
+std::optional<Key> ChordNode::next_hop(Key key) {
   if (covers(key)) return std::nullopt;
   // Location-cache shortcut: a peer we believe covers `key` can take the
   // message directly (it re-routes if the belief turned stale).
-  if (auto owner =
-          const_cast<LocationCache&>(cache_).find_owner(key)) {
+  if (auto owner = cache_.find_owner(key)) {
     if (*owner != id_) return owner;
   }
   if (!succs_.empty() &&
@@ -204,14 +202,8 @@ void ChordNode::forward_route(RouteMsg msg) {
     return;
   }
   const MessageClass cls = msg.payload->message_class();
-  // One span per forwarding step, re-parenting the wire message so the
-  // next hop's span chains to this one.
-  if (const auto span =
-          emit_span(net_, id_, hop_ref(msg.payload, msg.parent_span),
-                    SpanKind::kRouteHop, msg.target, msg.hops);
-      span != 0) {
-    msg.parent_span = span;
-  }
+  // One span per forwarding step, before the hop count moves on.
+  emit_route_hop(net_, id_, msg, msg.target);
   for (;;) {
     if (covers(msg.target)) {  // candidate eviction can make us the owner
       deliver_route(msg);
@@ -240,11 +232,6 @@ void ChordNode::m_cast(std::vector<Key> keys, PayloadPtr payload) {
   run_mcast(std::move(keys), payload, /*hops=*/0, /*initiator=*/true);
 }
 
-void ChordNode::handle_mcast(McastMsg msg) {
-  run_mcast(std::move(msg.targets), msg.payload, msg.hops,
-            /*initiator=*/false, msg.parent_span);
-}
-
 void ChordNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
                           std::uint32_t hops, bool initiator,
                           std::uint64_t parent_span) {
@@ -270,65 +257,42 @@ void ChordNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
   }
 
   // Figure 4 segment delegation (shared across overlays).
-  const overlay::McastPartition part = overlay::partition_mcast_targets(
-      ring(), id_, [this](Key k) { return covers(k); }, std::move(keys),
-      candidates);
-
-  if (!part.local.empty() && app_ != nullptr) {
-    const MessageClass cls = payload->message_class();
-    net_.traffic().record_delivery(cls);
-    if (initiator) {
-      // Keep the upcall asynchronous even for the initiator.
-      PayloadPtr p = payload;
-      std::vector<Key> covered = part.local;
-      net_.self_deliver([this, covered = std::move(covered), p] {
-        if (!offline_) app_->on_deliver_mcast(covered, p);
+  const overlay::McastSplit split = overlay::split_mcast(
+      net_, id_, [this](Key k) { return covers(k); }, std::move(keys),
+      candidates, payload, parent_span,
+      [&](const std::vector<Key>& local) {
+        deliver_mcast_local(local, payload, initiator);
       });
-    } else {
-      app_->on_deliver_mcast(part.local, payload);
-    }
-  }
-  if (!part.undeliverable.empty()) {
-    net_.hot().mcast_dropped_keys->inc(part.undeliverable.size());
-    emit_drop(net_, id_, hop_ref(payload, parent_span),
-              DropReason::kMcastDead, part.undeliverable.size());
-  }
-
-  std::size_t branches = 0;
-  std::size_t delegated_keys = 0;
-  for (const auto& d : part.delegated) {
-    if (d.empty()) continue;
-    ++branches;
-    delegated_keys += d.size();
-  }
-  std::uint64_t split_span = parent_span;
-  if (branches > 0) {
-    net_.hot().mcast_fanout->add(static_cast<double>(branches));
-    if (const auto span = emit_span(net_, id_, hop_ref(payload, parent_span),
-                                    SpanKind::kMcastSplit,
-                                    delegated_keys + part.local.size(),
-                                    branches);
-        span != 0) {
-      split_span = span;
-    }
-  }
 
   const MessageClass cls = payload->message_class();
   std::vector<Key> retry;
   for (std::size_t j = 0; j < candidates.size(); ++j) {
-    if (part.delegated[j].empty()) continue;
+    const std::vector<Key>& batch = split.part.delegated[j];
+    if (batch.empty()) continue;
     if (!transmit(candidates[j],
-                  McastMsg{part.delegated[j], payload, hops + 1, 0,
-                           split_span},
-                  cls)) {
-      retry.insert(retry.end(), part.delegated[j].begin(),
-                   part.delegated[j].end());
+                  McastMsg{batch, payload, hops + 1, 0, split.span}, cls)) {
+      retry.insert(retry.end(), batch.begin(), batch.end());
     }
   }
   if (!retry.empty()) {
     // Dead candidates were evicted; re-run the assignment for their keys.
     run_mcast(std::move(retry), payload, hops + 1, /*initiator=*/false,
-              split_span);
+              split.span);
+  }
+}
+
+void ChordNode::deliver_mcast_local(const std::vector<Key>& covered,
+                                    const PayloadPtr& payload,
+                                    bool initiator) {
+  if (app_ == nullptr) return;
+  net_.traffic().record_delivery(payload->message_class());
+  if (initiator) {
+    // Keep the upcall asynchronous even for the initiator.
+    net_.self_deliver([this, keys = covered, p = payload] {
+      if (!offline_) app_->on_deliver_mcast(keys, p);
+    });
+  } else {
+    app_->on_deliver_mcast(covered, payload);
   }
 }
 
@@ -363,18 +327,7 @@ void ChordNode::run_chain(std::vector<Key> keys, const PayloadPtr& payload,
   for (Key k : keys) {
     (covers(k) ? covered : remaining).push_back(k);
   }
-  if (!covered.empty() && app_ != nullptr) {
-    const MessageClass cls = payload->message_class();
-    net_.traffic().record_delivery(cls);
-    if (initiator) {
-      PayloadPtr p = payload;
-      net_.self_deliver([this, covered, p] {
-        if (!offline_) app_->on_deliver_mcast(covered, p);
-      });
-    } else {
-      app_->on_deliver_mcast(covered, payload);
-    }
-  }
+  if (!covered.empty()) deliver_mcast_local(covered, payload, initiator);
   if (remaining.empty()) return;
 
   // Keep ring order relative to this node: the nearest remaining key is
@@ -394,12 +347,7 @@ void ChordNode::forward_chain(ChainMsg msg) {
     return;
   }
   const MessageClass cls = msg.payload->message_class();
-  if (const auto span =
-          emit_span(net_, id_, hop_ref(msg.payload, msg.parent_span),
-                    SpanKind::kRouteHop, msg.targets.front(), msg.hops);
-      span != 0) {
-    msg.parent_span = span;
-  }
+  emit_route_hop(net_, id_, msg, msg.targets.front());
   for (;;) {
     if (covers(msg.targets.front())) {
       run_chain(std::move(msg.targets), msg.payload, msg.hops,
@@ -429,26 +377,22 @@ void ChordNode::send_to_successor(PayloadPtr payload) {
     if (transmit(s, NeighborMsg{payload}, payload->message_class())) return;
   }
   // Alone in the ring: local delivery.
-  if (app_ != nullptr) {
-    PayloadPtr p = std::move(payload);
-    net_.self_deliver([this, p] {
-      if (!offline_) app_->on_deliver(id_, p);
-    });
-  }
+  deliver_to_self(std::move(payload));
 }
 
 void ChordNode::send_to_predecessor(PayloadPtr payload) {
-  if (has_pred_ && pred_ != id_) {
-    if (transmit(pred_, NeighborMsg{payload}, payload->message_class())) {
-      return;
-    }
+  if (has_pred_ && pred_ != id_ &&
+      transmit(pred_, NeighborMsg{payload}, payload->message_class())) {
+    return;
   }
-  if (app_ != nullptr) {
-    PayloadPtr p = std::move(payload);
-    net_.self_deliver([this, p] {
-      if (!offline_) app_->on_deliver(id_, p);
-    });
-  }
+  deliver_to_self(std::move(payload));
+}
+
+void ChordNode::deliver_to_self(PayloadPtr payload) {
+  if (app_ == nullptr) return;
+  net_.self_deliver([this, p = std::move(payload)] {
+    if (!offline_) app_->on_deliver(id_, p);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -773,7 +717,8 @@ void ChordNode::receive(Envelope env) {
         if constexpr (std::is_same_v<T, RouteMsg>) {
           handle_route(std::move(m));
         } else if constexpr (std::is_same_v<T, McastMsg>) {
-          handle_mcast(std::move(m));
+          run_mcast(std::move(m.targets), m.payload, m.hops,
+                    /*initiator=*/false, m.parent_span);
         } else if constexpr (std::is_same_v<T, ChainMsg>) {
           handle_chain(std::move(m));
         } else if constexpr (std::is_same_v<T, NeighborMsg>) {

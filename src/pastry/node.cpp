@@ -1,7 +1,6 @@
 #include <algorithm>
 
 #include "cbps/common/exec_context.hpp"
-#include "cbps/common/hash.hpp"
 #include "cbps/common/logging.hpp"
 #include "cbps/overlay/mcast_partition.hpp"
 #include "cbps/pastry/pastry.hpp"
@@ -9,9 +8,8 @@
 namespace cbps::pastry {
 
 using metrics::DropReason;
-using metrics::SpanKind;
 using overlay::emit_drop;
-using overlay::emit_span;
+using overlay::emit_route_hop;
 using overlay::hop_ref;
 using overlay::MessageClass;
 using overlay::PayloadPtr;
@@ -34,7 +32,6 @@ PastryNode::PastryNode(PastryNetwork& net, Key id, std::string name,
 }
 
 RingParams PastryNode::ring() const { return net_.ring(); }
-const PastryConfig& PastryNode::config() const { return net_.config(); }
 
 Key PastryNode::successor_id() const {
   return leaf_succ_.empty() ? id_ : leaf_succ_.front();
@@ -134,7 +131,7 @@ std::optional<Key> PastryNode::next_hop(Key key) const {
 // ---------------------------------------------------------------------------
 
 void PastryNode::send(Key key, PayloadPtr payload) {
-  RouteMsg msg{key, std::move(payload), 0};
+  RouteMsg msg{key, std::move(payload), 0, id_};
   if (covers(key)) {
     net_.self_deliver([this, msg = std::move(msg)] { deliver_route(msg); });
     return;
@@ -171,12 +168,7 @@ void PastryNode::handle_route(RouteMsg msg) {
   const MessageClass cls = msg.payload->message_class();
   RouteMsg out = std::move(msg);
   ++out.hops;
-  if (const auto span =
-          emit_span(net_, id_, hop_ref(out.payload, out.parent_span),
-                    SpanKind::kRouteHop, out.target, out.hops);
-      span != 0) {
-    out.parent_span = span;
-  }
+  emit_route_hop(net_, id_, out, out.target);
   transmit(*nh, std::move(out), cls);
 }
 
@@ -199,52 +191,32 @@ void PastryNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
     return;
   }
   const std::vector<Key> candidates = known_nodes_by_distance();
-  const overlay::McastPartition part = overlay::partition_mcast_targets(
-      ring(), id_, [this](Key k) { return covers(k); }, std::move(keys),
-      candidates);
-
-  if (!part.local.empty() && app_ != nullptr) {
-    const MessageClass cls = payload->message_class();
-    net_.traffic().record_delivery(cls);
-    if (initiator) {
-      PayloadPtr p = payload;
-      std::vector<Key> covered = part.local;
-      net_.self_deliver([this, covered = std::move(covered), p] {
-        app_->on_deliver_mcast(covered, p);
+  const overlay::McastSplit split = overlay::split_mcast(
+      net_, id_, [this](Key k) { return covers(k); }, std::move(keys),
+      candidates, payload, parent_span,
+      [&](const std::vector<Key>& local) {
+        deliver_mcast_local(local, payload, initiator);
       });
-    } else {
-      app_->on_deliver_mcast(part.local, payload);
-    }
-  }
-  if (!part.undeliverable.empty()) {
-    net_.hot().mcast_dropped_keys->inc(part.undeliverable.size());
-    emit_drop(net_, id_, hop_ref(payload, parent_span),
-              DropReason::kMcastDead, part.undeliverable.size());
-  }
-  std::size_t branches = 0;
-  std::size_t delegated_keys = 0;
-  for (const auto& d : part.delegated) {
-    if (d.empty()) continue;
-    ++branches;
-    delegated_keys += d.size();
-  }
-  std::uint64_t split_span = parent_span;
-  if (branches > 0) {
-    net_.hot().mcast_fanout->add(static_cast<double>(branches));
-    if (const auto span = emit_span(net_, id_, hop_ref(payload, parent_span),
-                                    SpanKind::kMcastSplit,
-                                    delegated_keys + part.local.size(),
-                                    branches);
-        span != 0) {
-      split_span = span;
-    }
-  }
   const MessageClass cls = payload->message_class();
   for (std::size_t j = 0; j < candidates.size(); ++j) {
-    if (part.delegated[j].empty()) continue;
-    transmit(candidates[j],
-             McastMsg{part.delegated[j], payload, hops + 1, 0, split_span},
+    const std::vector<Key>& batch = split.part.delegated[j];
+    if (batch.empty()) continue;
+    transmit(candidates[j], McastMsg{batch, payload, hops + 1, 0, split.span},
              cls);
+  }
+}
+
+void PastryNode::deliver_mcast_local(const std::vector<Key>& covered,
+                                     const PayloadPtr& payload,
+                                     bool initiator) {
+  if (app_ == nullptr) return;
+  net_.traffic().record_delivery(payload->message_class());
+  if (initiator) {
+    net_.self_deliver([this, keys = covered, p = payload] {
+      app_->on_deliver_mcast(keys, p);
+    });
+  } else {
+    app_->on_deliver_mcast(covered, payload);
   }
 }
 
@@ -265,17 +237,7 @@ void PastryNode::run_chain(std::vector<Key> keys, const PayloadPtr& payload,
   std::vector<Key> remaining;
   for (Key k : keys) (covers(k) ? covered : remaining).push_back(k);
 
-  if (!covered.empty() && app_ != nullptr) {
-    const MessageClass cls = payload->message_class();
-    net_.traffic().record_delivery(cls);
-    if (initiator) {
-      PayloadPtr p = payload;
-      net_.self_deliver(
-          [this, covered, p] { app_->on_deliver_mcast(covered, p); });
-    } else {
-      app_->on_deliver_mcast(covered, payload);
-    }
-  }
+  if (!covered.empty()) deliver_mcast_local(covered, payload, initiator);
   if (remaining.empty()) return;
   forward_chain(ChainMsg{std::move(remaining), payload, hops, 0, parent_span});
 }
@@ -302,12 +264,7 @@ void PastryNode::forward_chain(ChainMsg msg) {
   const MessageClass cls = msg.payload->message_class();
   ChainMsg out = std::move(msg);
   ++out.hops;
-  if (const auto span =
-          emit_span(net_, id_, hop_ref(out.payload, out.parent_span),
-                    SpanKind::kRouteHop, out.targets.front(), out.hops);
-      span != 0) {
-    out.parent_span = span;
-  }
+  emit_route_hop(net_, id_, out, out.targets.front());
   transmit(*nh, std::move(out), cls);
 }
 
@@ -316,26 +273,21 @@ void PastryNode::forward_chain(ChainMsg msg) {
 // ---------------------------------------------------------------------------
 
 void PastryNode::send_to_successor(PayloadPtr payload) {
-  if (!leaf_succ_.empty()) {
-    const MessageClass cls = payload->message_class();
-    transmit(leaf_succ_.front(), NeighborMsg{std::move(payload)}, cls);
-    return;
-  }
-  if (app_ != nullptr) {
-    PayloadPtr p = std::move(payload);
-    net_.self_deliver([this, p] { app_->on_deliver(id_, p); });
-  }
+  send_to_neighbor(leaf_succ_, std::move(payload));
 }
 
 void PastryNode::send_to_predecessor(PayloadPtr payload) {
-  if (!leaf_pred_.empty()) {
+  send_to_neighbor(leaf_pred_, std::move(payload));
+}
+
+void PastryNode::send_to_neighbor(const std::vector<Key>& leaves,
+                                  PayloadPtr payload) {
+  if (!leaves.empty()) {
     const MessageClass cls = payload->message_class();
-    transmit(leaf_pred_.front(), NeighborMsg{std::move(payload)}, cls);
-    return;
-  }
-  if (app_ != nullptr) {
-    PayloadPtr p = std::move(payload);
-    net_.self_deliver([this, p] { app_->on_deliver(id_, p); });
+    transmit(leaves.front(), NeighborMsg{std::move(payload)}, cls);
+  } else if (app_ != nullptr) {
+    net_.self_deliver(
+        [this, p = std::move(payload)] { app_->on_deliver(id_, p); });
   }
 }
 

@@ -1,8 +1,9 @@
 // Tests for message-loss fault injection (sim::LossModel) and the
 // hop-by-hop ack/retry reliability layer: the loss model itself, the
 // shared transport mechanics on both overlays (retransmission, duplicate
-// suppression, retry-budget exhaustion, zero-overhead gating), and
-// end-to-end exactly-once pub/sub delivery under loss and churn.
+// suppression, retry-budget exhaustion, zero-overhead gating), the
+// shared m-cast split accounting, and end-to-end exactly-once pub/sub
+// delivery under loss and churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -69,30 +71,35 @@ struct TagDelivery {
   Key node;
   std::vector<Key> keys;  // one entry for unicast, the segment for m-cast
   int tag;
+  sim::SimTime at = 0;  // upcall time
 };
 
 class TagApp final : public overlay::OverlayApp {
  public:
-  TagApp(Key node, std::vector<TagDelivery>& sink)
-      : node_(node), sink_(sink) {}
+  TagApp(Key node, std::vector<TagDelivery>& sink,
+         const sim::SimulatorBase& clock)
+      : node_(node), sink_(sink), clock_(clock) {}
 
   void on_deliver(Key key, const PayloadPtr& payload) override {
     const auto* p = dynamic_cast<const TagPayload*>(payload.get());
     ASSERT_NE(p, nullptr);
-    sink_.push_back({node_, {key}, p->tag});
+    sink_.push_back({node_, {key}, p->tag, clock_.now()});
   }
   void on_deliver_mcast(std::span<const Key> covered,
                         const PayloadPtr& payload) override {
     const auto* p = dynamic_cast<const TagPayload*>(payload.get());
     ASSERT_NE(p, nullptr);
-    sink_.push_back({node_, {covered.begin(), covered.end()}, p->tag});
+    sink_.push_back(
+        {node_, {covered.begin(), covered.end()}, p->tag, clock_.now()});
   }
   PayloadPtr export_state(Key, Key, bool) override { return nullptr; }
   void import_state(const PayloadPtr&) override {}
 
  private:
+
   Key node_;
   std::vector<TagDelivery>& sink_;
+  const sim::SimulatorBase& clock_;
 };
 
 class ChordLossHarness {
@@ -105,7 +112,7 @@ class ChordLossHarness {
     }
     net->build_static_ring();
     for (Key id : net->alive_ids()) {
-      apps.push_back(std::make_unique<TagApp>(id, deliveries));
+      apps.push_back(std::make_unique<TagApp>(id, deliveries, sim));
       net->node(id)->set_app(apps.back().get());
     }
   }
@@ -321,6 +328,8 @@ class LossyRing {
   virtual std::size_t pending_total() = 0;
   virtual std::uint64_t total_hops() = 0;
   virtual RingParams ring() = 0;
+  virtual metrics::Histogram& histogram(const std::string& stat) = 0;
+  virtual void set_trace_sink(metrics::TraceSink* sink) = 0;
 
   sim::Simulator sim;
   std::vector<Key> ids;  // ring order
@@ -340,7 +349,7 @@ class LossyRingOf final : public LossyRing {
     std::sort(ids.begin(), ids.end());
     net_.build_static_ring();
     for (Key id : ids) {
-      apps_.push_back(std::make_unique<TagApp>(id, deliveries));
+      apps_.push_back(std::make_unique<TagApp>(id, deliveries, sim));
       net_.node(id)->set_app(apps_.back().get());
     }
   }
@@ -356,6 +365,12 @@ class LossyRingOf final : public LossyRing {
   }
   std::uint64_t total_hops() override { return net_.traffic().total_hops(); }
   RingParams ring() override { return net_.ring(); }
+  metrics::Histogram& histogram(const std::string& stat) override {
+    return net_.registry().histogram(prefix_ + stat);
+  }
+  void set_trace_sink(metrics::TraceSink* sink) override {
+    net_.set_trace_sink(sink);
+  }
 
  private:
   std::string prefix_;
@@ -441,6 +456,118 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// The shared Figure-4 m-cast step (overlay::split_mcast), on both overlays
+// ---------------------------------------------------------------------------
+
+class McastSplitTest : public ::testing::TestWithParam<Overlay> {};
+
+TEST_P(McastSplitTest, SplitSpansMatchFanoutAndEveryKeyArrivesOnce) {
+  const auto h = make_ring(GetParam(), 32, {}, 3);
+  metrics::TraceSink sink(1.0);
+  h->set_trace_sink(&sink);
+
+  Rng rng(4);
+  const auto random_key = [&] {
+    return static_cast<Key>(rng.uniform_int(
+        0, static_cast<std::int64_t>(h->ring().max_key())));
+  };
+  std::vector<std::set<Key>> targets;  // by tag
+  std::map<std::uint64_t, int> tag_of_trace;
+  for (int i = 0; i < 24; ++i) {
+    std::vector<Key> keys;
+    for (int j = 0; j < 1 + i % 12; ++j) keys.push_back(random_key());
+    targets.emplace_back(keys.begin(), keys.end());
+    auto p = std::make_shared<TagPayload>(i);
+    p->trace = {sink.maybe_start_trace(), 0};
+    tag_of_trace[p->trace.trace_id] = i;
+    h->node(h->ids[static_cast<std::size_t>(rng.uniform_int(0, 31))])
+        .m_cast(std::move(keys), p);
+  }
+  h->sim.run();
+
+  // Every target key arrives exactly once, at the node covering it.
+  const auto owner = [&](Key k) {
+    const auto it = std::lower_bound(h->ids.begin(), h->ids.end(), k);
+    return it == h->ids.end() ? h->ids.front() : *it;
+  };
+  std::vector<std::multiset<Key>> got(targets.size());
+  // Upcalls by (tag, node, time) -> keys. A relay's local upcall runs in
+  // the event that emits its split span; the initiator's is a zero-delay
+  // self-delivery at the same sim time.
+  std::map<std::tuple<int, Key, sim::SimTime>, std::uint64_t> upcalls;
+  for (const TagDelivery& d : h->deliveries) {
+    for (Key k : d.keys) {
+      EXPECT_EQ(d.node, owner(k)) << "key " << k << " tag " << d.tag;
+      got[static_cast<std::size_t>(d.tag)].insert(k);
+    }
+    EXPECT_TRUE(upcalls.emplace(std::tuple(d.tag, d.node, d.at),
+                                d.keys.size()).second);
+  }
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(got[i], std::multiset<Key>(targets[i].begin(),
+                                         targets[i].end()))
+        << "tag " << i;
+  }
+
+  // Split accounting: b = branches, a = local keys + delegated keys. A
+  // delegated batch lands at a node that either splits again (a child
+  // span, whose a is the batch size) or delivers the whole batch (a leaf
+  // upcall that matches no split). So each split's a - local - (child
+  // splits' a) is the key count of its b - (child splits) leaf batches,
+  // and per m-cast those add up to exactly the leaf upcalls.
+  std::map<std::uint64_t, const metrics::Span*> splits;
+  std::uint64_t branches = 0;
+  for (const metrics::Span& s : sink.spans()) {
+    if (s.kind != metrics::SpanKind::kMcastSplit) continue;
+    splits[s.span_id] = &s;
+    branches += s.b;
+  }
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
+      children;  // split -> (child splits, their keys)
+  for (const auto& [id, s] : splits) {
+    if (!splits.contains(s->parent_span)) continue;
+    ++children[s->parent_span].first;
+    children[s->parent_span].second += s->a;
+  }
+  std::map<int, std::pair<std::uint64_t, std::uint64_t>> leaf_batches;
+  for (const auto& [id, s] : splits) {
+    const int tag = tag_of_trace.at(s->trace_id);
+    std::uint64_t local = 0;
+    if (const auto it = upcalls.find({tag, s->node, s->start_us});
+        it != upcalls.end()) {
+      local = it->second;
+      upcalls.erase(it);
+    }
+    const auto [n_child, child_keys] = children[id];
+    ASSERT_GE(s->b, n_child);
+    const std::uint64_t leaves = s->b - n_child;
+    ASSERT_GE(s->a, local + child_keys + leaves) << "split " << id;
+    leaf_batches[tag].first += leaves;
+    leaf_batches[tag].second += s->a - local - child_keys;
+  }
+  std::map<int, std::pair<std::uint64_t, std::uint64_t>> leaf_upcalls;
+  for (const auto& [tnt, keys] : upcalls) {
+    const int tag = std::get<0>(tnt);
+    if (!leaf_batches.contains(tag)) continue;  // initiator kept it all
+    ++leaf_upcalls[tag].first;
+    leaf_upcalls[tag].second += keys;
+  }
+  EXPECT_EQ(leaf_batches, leaf_upcalls);
+
+  const metrics::Histogram& fanout = h->histogram("mcast_fanout");
+  EXPECT_GT(branches, 0u);
+  EXPECT_EQ(fanout.count(), splits.size());
+  EXPECT_EQ(fanout.sum(), static_cast<double>(branches));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Overlays, McastSplitTest,
+    ::testing::Values(Overlay::kChord, Overlay::kPastry),
+    [](const ::testing::TestParamInfo<Overlay>& info) {
+      return info.param == Overlay::kChord ? "chord" : "pastry";
+    });
+
+// ---------------------------------------------------------------------------
 // Pastry ack/retry
 // ---------------------------------------------------------------------------
 
@@ -453,8 +580,8 @@ TEST(PastryLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
   net.build_static_ring();
   std::vector<TagDelivery> deliveries;
   std::vector<std::unique_ptr<TagApp>> apps;
-  for (Key id : net.ids()) {
-    apps.push_back(std::make_unique<TagApp>(id, deliveries));
+  for (Key id : net.alive_ids()) {
+    apps.push_back(std::make_unique<TagApp>(id, deliveries, sim));
     net.node(id)->set_app(apps.back().get());
   }
 
@@ -463,7 +590,7 @@ TEST(PastryLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
   for (int i = 0; i < kSends; ++i) {
     const Key key = static_cast<Key>(rng.uniform_int(
         0, static_cast<std::int64_t>(net.ring().max_key())));
-    net.node_at(static_cast<std::size_t>(rng.uniform_int(0, 31)))
+    net.alive_node(static_cast<std::size_t>(rng.uniform_int(0, 31)))
         .send(key, std::make_shared<TagPayload>(i));
   }
   sim.run();
@@ -488,7 +615,7 @@ TEST(PastryLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
             net.traffic().hops(MessageClass::kPublish) -
                 net.registry().counter_value("pastry.net.lost.publish"));
   std::size_t pending = 0;
-  for (Key id : net.ids()) pending += net.node(id)->pending_send_count();
+  for (Key id : net.alive_ids()) pending += net.node(id)->pending_send_count();
   EXPECT_EQ(pending, 0u);
 }
 

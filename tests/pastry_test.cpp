@@ -60,7 +60,7 @@ class PastryHarness {
       net->add_node("p" + std::to_string(i));
     }
     net->build_static_ring();
-    for (Key id : net->ids()) {
+    for (Key id : net->alive_ids()) {
       apps.push_back(std::make_unique<RecordingApp>(id, deliveries));
       net->node(id)->set_app(apps.back().get());
     }
@@ -74,7 +74,7 @@ class PastryHarness {
 
 TEST(PastryTopologyTest, LeafSetsMatchRingOrder) {
   PastryHarness h(32);
-  const auto ids = h.net->ids();
+  const auto ids = h.net->alive_ids();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const PastryNode& node = *h.net->node(ids[i]);
     EXPECT_EQ(node.predecessor_id(), ids[(i + ids.size() - 1) % ids.size()]);
@@ -86,7 +86,7 @@ TEST(PastryTopologyTest, LeafSetsMatchRingOrder) {
 TEST(PastryTopologyTest, RoutingTablePrefixInvariant) {
   PastryHarness h(64);
   const RingParams ring = h.net->ring();
-  for (Key id : h.net->ids()) {
+  for (Key id : h.net->alive_ids()) {
     const PastryNode& node = *h.net->node(id);
     for (unsigned r = 0; r < ring.bits(); ++r) {
       const auto entry = node.routing_table()[r];
@@ -108,7 +108,7 @@ TEST(PastryRoutingTest, DeliversAtOracleSuccessor) {
     const Key key = static_cast<Key>(
         rng.uniform_int(0, static_cast<std::int64_t>(h.net->ring().max_key())));
     targets.push_back(key);
-    h.net->node_at(static_cast<std::size_t>(rng.uniform_int(0, 63)))
+    h.net->alive_node(static_cast<std::size_t>(rng.uniform_int(0, 63)))
         .send(key, std::make_shared<TestPayload>(i));
   }
   h.sim.run();
@@ -125,7 +125,7 @@ TEST(PastryRoutingTest, HopCountLogarithmic) {
   for (int i = 0; i < 300; ++i) {
     const Key key = static_cast<Key>(
         rng.uniform_int(0, static_cast<std::int64_t>(h.net->ring().max_key())));
-    h.net->node_at(0).send(key, std::make_shared<TestPayload>(i));
+    h.net->alive_node(0).send(key, std::make_shared<TestPayload>(i));
   }
   h.sim.run();
   const auto& stat =
@@ -144,7 +144,7 @@ TEST(PastryMcastTest, DeliversToExactlyCoveringNodesOnce) {
   for (std::uint64_t i = 0; i < 2000; ++i) {
     targets.push_back(ring.wrap(1000 + i));
   }
-  h.net->node_at(7).m_cast(targets, std::make_shared<TestPayload>(1));
+  h.net->alive_node(7).m_cast(targets, std::make_shared<TestPayload>(1));
   h.sim.run();
 
   std::map<Key, std::set<Key>> expected;
@@ -171,7 +171,7 @@ TEST(PastryMcastTest, WrappingRangeAndDuplicates) {
     targets.push_back(ring.wrap(ring.max_key() - 100 + i));
     targets.push_back(ring.wrap(ring.max_key() - 100 + i));  // dup
   }
-  h.net->node_at(3).m_cast(targets, std::make_shared<TestPayload>(2));
+  h.net->alive_node(3).m_cast(targets, std::make_shared<TestPayload>(2));
   h.sim.run();
   std::size_t total = 0;
   std::set<Key> seen;
@@ -187,7 +187,7 @@ TEST(PastryChainTest, DeliversSameCoverage) {
   const RingParams ring = h.net->ring();
   std::vector<Key> targets;
   for (std::uint64_t i = 0; i < 1000; ++i) targets.push_back(ring.wrap(i));
-  h.net->node_at(5).chain_cast(targets, std::make_shared<TestPayload>(3));
+  h.net->alive_node(5).chain_cast(targets, std::make_shared<TestPayload>(3));
   h.sim.run();
   std::size_t total = 0;
   for (const Delivery& d : h.deliveries) total += d.keys.size();
@@ -196,7 +196,7 @@ TEST(PastryChainTest, DeliversSameCoverage) {
 
 TEST(PastryNeighborTest, NeighborSends) {
   PastryHarness h(8);
-  PastryNode& n = h.net->node_at(2);
+  PastryNode& n = h.net->alive_node(2);
   n.send_to_successor(std::make_shared<TestPayload>(1));
   n.send_to_predecessor(std::make_shared<TestPayload>(2));
   h.sim.run();
@@ -209,7 +209,7 @@ TEST(PastryNeighborTest, NeighborSends) {
 
 TEST(PastryEdgeTest, TwoNodeRing) {
   PastryHarness h(2);
-  const auto ids = h.net->ids();
+  const auto ids = h.net->alive_ids();
   PastryNode& a = *h.net->node(ids[0]);
   EXPECT_EQ(a.successor_id(), ids[1]);
   EXPECT_EQ(a.predecessor_id(), ids[1]);
@@ -228,7 +228,7 @@ TEST(PastryEdgeTest, TwoNodeRing) {
 
 TEST(PastryEdgeTest, SingleNodeSelfDelivers) {
   PastryHarness h(1);
-  PastryNode& only = h.net->node_at(0);
+  PastryNode& only = h.net->alive_node(0);
   only.send(1234, std::make_shared<TestPayload>(1));
   only.m_cast({1, 2, 3}, std::make_shared<TestPayload>(2));
   h.sim.run();
@@ -269,7 +269,7 @@ TEST_P(PastryPubSubTest, EndToEndExactlyOnce) {
   pcfg.pub_transport = param.transport;
 
   std::vector<std::unique_ptr<pubsub::PubSubNode>> nodes;
-  const std::vector<Key> ids = net.ids();
+  const std::vector<Key> ids = net.alive_ids();
   for (Key id : ids) {
     nodes.push_back(std::make_unique<pubsub::PubSubNode>(
         *net.node(id), sim, *mapping, pcfg));
