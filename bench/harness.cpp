@@ -217,12 +217,10 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   sys_cfg.pubsub.buffer_period = cfg.buffer_period;
   sys_cfg.pubsub.dissemination = cfg.dissemination;
   sys_cfg.pubsub.gossip_fanout = cfg.gossip_fanout;
-  sys_cfg.pubsub.gossip_rounds = cfg.gossip_rounds;
   sys_cfg.pubsub.anti_entropy_period = cfg.anti_entropy_period;
   sys_cfg.pubsub.gossip_window = cfg.gossip_window;
   sys_cfg.pubsub.match_engine = cfg.match_engine;
   sys_cfg.pubsub.replication_factor = cfg.replication_factor;
-  sys_cfg.pubsub.key_topk_capacity = cfg.key_topk_capacity;
   sys_cfg.chord.loss_rate = cfg.loss_rate;
   sys_cfg.chord.max_retries = cfg.max_retries;
   sys_cfg.chord.retry_base = cfg.retry_base;

@@ -36,7 +36,6 @@ struct ExperimentConfig {
   pubsub::PubSubConfig::Dissemination dissemination =
       pubsub::PubSubConfig::Dissemination::kUnicast;
   std::size_t gossip_fanout = 3;
-  std::uint32_t gossip_rounds = 0;  // 0 = auto (ceil(log2(group)) + 2)
   sim::SimTime anti_entropy_period = sim::sec(10);
   sim::SimTime gossip_window = sim::sec(60);
 
@@ -107,9 +106,6 @@ struct ExperimentConfig {
   /// plus the per-key hot-key tables and the time-series samples to
   /// this JSON file (empty = off).
   std::string metrics_json_path;
-  /// Capacity of the per-node rendezvous-key heavy-hitter sketches
-  /// (metrics::TopK); count error is bounded by per-node load / capacity.
-  std::size_t key_topk_capacity = metrics::TopK::kDefaultCapacity;
   /// Period of the time-series sampler. 0 = off, unless
   /// metrics_json_path is set (then it defaults to 1 simulated second).
   sim::SimTime sample_period = 0;

@@ -50,11 +50,9 @@ struct PubSubConfig {
   Dissemination dissemination = Dissemination::kUnicast;
 
   /// Gossip backend knobs (ignored unless dissemination == kGossip).
-  /// Fan-out: random group members each infected node pushes to.
+  /// Fan-out: random group members each infected node pushes to. A
+  /// record dies after ceil(log2(group size)) + 2 push rounds.
   std::size_t gossip_fanout = 3;
-  /// Push rounds before a record dies (infect-and-die counter);
-  /// 0 = auto: ceil(log2(group size)) + 2.
-  std::uint32_t gossip_rounds = 0;
   /// Anti-entropy digest-exchange period (0 disables repair).
   sim::SimTime anti_entropy_period = sim::sec(10);
   /// Recent-record retention for anti-entropy repair; older records are
@@ -276,17 +274,48 @@ class PubSubNode final : public overlay::OverlayApp {
   void handle_multi_notify(const MultiNotifyMsg& msg,
                            std::span<const Key> covered);
   void handle_gossip(const GossipMsg& msg);
+  /// One repair leg: push records + owned subs `msg.from` lacks per its
+  /// digest, then (unless the digest is itself a reply) answer with our
+  /// own digest.
   void handle_gossip_digest(const GossipDigestMsg& msg);
   void handle_gossip_repair(const GossipRepairMsg& msg);
   void handle_gossip_sub_repair(const GossipSubRepairMsg& msg);
   void dispatch(std::span<const Key> covered,
                 const overlay::PayloadPtr& payload);
-  /// Shared tail of the match paths: per-covered-key load attribution
-  /// (match invocations, match-set sizes) and kHotKey trace spans.
-  void record_match_load(const PublishMsg& msg,
-                         std::span<const Key> covered,
-                         std::size_t match_set_size,
-                         const std::vector<std::uint64_t>& per_key_notifies);
+
+  // The single steps every notify backend shares.
+  /// The match step (§4.1): `on_match(record)` for each match this
+  /// delivery is responsible for (the mapping's exactly-once filter),
+  /// then the per-covered-key load attribution and kHotKey spans.
+  template <typename OnMatch>
+  void for_each_match(const PublishMsg& msg, std::span<const Key> covered,
+                      OnMatch&& on_match);
+  /// The delivery step: dedup, count, delay, kDeliver span, sink — the
+  /// same whichever backend carried `n` here. `now` is the arrival time.
+  void deliver(Key subscriber, const Notification& n, sim::SimTime now);
+  /// The notify send: one NotifyMsg carrying `batch` to `subscriber`
+  /// (a batch of one on the immediate path).
+  void send_notify(Key subscriber, std::vector<Notification> batch);
+  /// Count one dropped notification in `counter` and emit its kDrop span.
+  void drop(std::uint64_t& counter, const metrics::TraceRef& t,
+            metrics::DropReason why);
+  /// Emit a pub/sub step span under `t` and re-parent `t` on it.
+  void chain_span(metrics::TraceRef& t, metrics::SpanKind kind,
+                  std::uint64_t a, std::uint64_t b = 0);
+  /// Arm a one-shot timer running `fire` after `after` unless `armed`
+  /// already is; the firing clears `armed` and is a no-op once halted.
+  void arm_once(bool& armed, sim::SimTime after, void (PubSubNode::*fire)());
+  /// Root + kMap spans of a publish/subscribe; the payload's context
+  /// ({} when the root is not sampled).
+  metrics::TraceRef start_trace(metrics::SpanKind root_kind,
+                                std::uint64_t id, std::size_t keys);
+  /// Re-send a subscription toward its current rendezvous keys.
+  void reissue(const SubscriptionPtr& sub, sim::SimTime expires_at,
+               std::vector<KeyRange> ranges);
+  /// Push an owned record down the successor replica chain (no-op when
+  /// replication is off).
+  void replicate(const SubscriptionPtr& sub, sim::SimTime expires_at,
+                 const std::vector<KeyRange>& ranges);
 
   // Gossip internals.
   /// Group-wide dissemination (m-cast and gossip backends): collect the
@@ -309,17 +338,12 @@ class PubSubNode final : public overlay::OverlayApp {
   void schedule_anti_entropy();
   void anti_entropy_tick();
   std::shared_ptr<GossipDigestMsg> build_digest(Key to, bool reply);
-  /// One repair leg: push records + owned subs `msg.from` lacks per its
-  /// digest, then (unless the digest is itself a reply) answer with our
-  /// own digest.
-  void answer_digest(const GossipDigestMsg& msg);
-  std::uint32_t gossip_rounds_for(std::size_t group_size) const;
 
-  /// Route one match to its subscriber through the configured path
-  /// (immediate / buffered / collected). `trace` is the publish payload's
-  /// context; the notification inherits it.
-  void route_match(const SubscriptionStore::Record& rec, EventPtr event,
-                   sim::SimTime published_at, metrics::TraceRef trace);
+  /// Route one match of `msg` to its subscriber through the configured
+  /// path (immediate / buffered / collected). The notification inherits
+  /// the publish payload's trace context.
+  void route_match(const SubscriptionStore::Record& rec,
+                   const PublishMsg& msg);
 
   void buffer_notification(Key subscriber, Notification n);
   void enqueue_collect(CollectItem item);
@@ -334,8 +358,10 @@ class PubSubNode final : public overlay::OverlayApp {
 
   // Ring geometry helpers for collecting (§4.3.2).
   bool covers_key(Key k) const;
-  bool coverage_intersects(const KeyRange& r) const;
-  const KeyRange* my_range_for(const SubscriptionStore::Record& rec) const;
+  /// The first of `ranges` that intersects this node's coverage
+  /// (pred, id], or nullptr when none does.
+  const KeyRange* first_covered_range(
+      const std::vector<KeyRange>& ranges) const;
   bool is_agent_for(const KeyRange& r) const;
   bool agent_toward_successor(const KeyRange& r) const;
 

@@ -15,6 +15,57 @@ using metrics::DropReason;
 using metrics::SpanKind;
 using overlay::PayloadPtr;
 
+namespace {
+
+const metrics::TraceRef& trace_of(const Notification& n) { return n.trace; }
+const metrics::TraceRef& trace_of(const GossipEntry& e) {
+  return e.notification.trace;
+}
+const metrics::TraceRef& trace_of(const CollectItem& i) {
+  return i.notification.trace;
+}
+
+/// The first sampled trace of a batch ({} when none is): the overlay's
+/// hop spans of a batched payload attach to one of its notifications.
+template <typename T>
+metrics::TraceRef first_sampled(const std::vector<T>& batch) {
+  for (const T& item : batch) {
+    if (trace_of(item).sampled()) return trace_of(item);
+  }
+  return {};
+}
+
+/// The distinct subscribers of entries sorted by subscriber: the match
+/// group an m-cast tree or an epidemic runs over.
+std::vector<Key> group_of(const std::vector<GossipEntry>& entries) {
+  std::vector<Key> group;
+  for (const GossipEntry& e : entries) {
+    if (group.empty() || group.back() != e.subscriber) {
+      group.push_back(e.subscriber);
+    }
+  }
+  return group;
+}
+
+/// Push rounds before a gossip record dies (infect-and-die counter).
+/// Push epidemics infect the group w.h.p. in O(log n) rounds; two extra
+/// rounds of slack absorb unlucky fan-out collisions.
+std::uint32_t gossip_rounds_for(std::size_t group_size) {
+  std::uint32_t r = 0;
+  while ((std::size_t{1} << r) < group_size) ++r;
+  return r + 2;
+}
+
+/// Whether the arc (lo, hi] and the closed run [r.lo, r.hi] intersect:
+/// they do iff either contains the other's first element.
+bool arc_intersects(const RingParams& ring, Key lo, Key hi,
+                    const KeyRange& r) {
+  return ring.in_open_closed(lo, hi, r.lo) ||
+         ring.in_closed_closed(r.lo, r.hi, ring.add(lo, 1));
+}
+
+}  // namespace
+
 PubSubNode::PubSubNode(overlay::OverlayNode& overlay,
                        sim::SimulatorBase& sim, const AkMapping& mapping,
                        PubSubConfig cfg)
@@ -58,18 +109,7 @@ void PubSubNode::subscribe(SubscriptionPtr sub, sim::SimTime ttl) {
   own_subs_[sub->id] = OwnSub{sub, expiry};
   auto msg = std::make_shared<SubscribeMsg>(
       sub, expiry, mapping_.subscription_ranges(*sub));
-  if (trace_ != nullptr && trace_->enabled()) {
-    if (const std::uint64_t tid = trace_->maybe_start_trace(); tid != 0) {
-      const auto now = sim_.now();
-      const std::uint64_t root = trace_->emit(
-          metrics::TraceRef{tid, 0}, SpanKind::kSubscribe, overlay_.id(),
-          now, now, sub->id, keys.size());
-      const std::uint64_t map_span = trace_->emit(
-          metrics::TraceRef{tid, root}, SpanKind::kMap, overlay_.id(), now,
-          now, keys.size());
-      msg->trace = metrics::TraceRef{tid, map_span};
-    }
-  }
+  msg->trace = start_trace(SpanKind::kSubscribe, sub->id, keys.size());
   send_to_keys(keys, std::move(msg), cfg_.sub_transport);
 }
 
@@ -84,11 +124,7 @@ std::size_t PubSubNode::refresh_subscriptions() {
         own.expires_at <= sim_.now()) {
       continue;  // already expired; a refresh must not resurrect it
     }
-    send_to_keys(mapping_.subscription_keys(*own.sub),
-                 std::make_shared<SubscribeMsg>(
-                     own.sub, own.expires_at,
-                     mapping_.subscription_ranges(*own.sub)),
-                 cfg_.sub_transport);
+    reissue(own.sub, own.expires_at, mapping_.subscription_ranges(*own.sub));
     ++n;
   }
   return n;
@@ -110,19 +146,40 @@ void PubSubNode::publish(EventPtr event) {
   fanout_hist_.add(static_cast<double>(keys.size()));
   auto msg =
       std::make_shared<PublishMsg>(event, overlay_.id(), sim_.now());
-  if (trace_ != nullptr && trace_->enabled()) {
-    if (const std::uint64_t tid = trace_->maybe_start_trace(); tid != 0) {
-      const auto now = sim_.now();
-      const std::uint64_t root = trace_->emit(
-          metrics::TraceRef{tid, 0}, SpanKind::kPublish, overlay_.id(), now,
-          now, event->id, keys.size());
-      const std::uint64_t map_span = trace_->emit(
-          metrics::TraceRef{tid, root}, SpanKind::kMap, overlay_.id(), now,
-          now, keys.size());
-      msg->trace = metrics::TraceRef{tid, map_span};
-    }
-  }
+  msg->trace = start_trace(SpanKind::kPublish, event->id, keys.size());
   send_to_keys(keys, std::move(msg), cfg_.pub_transport);
+}
+
+metrics::TraceRef PubSubNode::start_trace(SpanKind root_kind,
+                                          std::uint64_t id,
+                                          std::size_t keys) {
+  if (trace_ == nullptr || !trace_->enabled()) return {};
+  const std::uint64_t tid = trace_->maybe_start_trace();
+  if (tid == 0) return {};
+  const auto now = sim_.now();
+  const std::uint64_t root =
+      trace_->emit(metrics::TraceRef{tid, 0}, root_kind, overlay_.id(), now,
+                   now, id, keys);
+  const std::uint64_t map_span =
+      trace_->emit(metrics::TraceRef{tid, root}, SpanKind::kMap,
+                   overlay_.id(), now, now, keys);
+  return metrics::TraceRef{tid, map_span};
+}
+
+void PubSubNode::reissue(const SubscriptionPtr& sub, sim::SimTime expires_at,
+                         std::vector<KeyRange> ranges) {
+  send_to_keys(mapping_.subscription_keys(*sub),
+               std::make_shared<SubscribeMsg>(sub, expires_at,
+                                              std::move(ranges)),
+               cfg_.sub_transport);
+}
+
+void PubSubNode::replicate(const SubscriptionPtr& sub,
+                           sim::SimTime expires_at,
+                           const std::vector<KeyRange>& ranges) {
+  if (cfg_.replication_factor == 0) return;
+  overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
+      StoredSubRecord{sub, expires_at, ranges}, cfg_.replication_factor));
 }
 
 // ---------------------------------------------------------------------------
@@ -155,48 +212,32 @@ std::size_t PubSubNode::re_replicate() {
   // its range while still holding only the passive copy — with no owner,
   // nothing would ever rebuild the chain and a second crash loses the
   // record. Collect before upgrading (no mutation during for_each).
-  std::vector<StoredSubRecord> adopt;
+  std::vector<SubscriptionStore::Record> adopt;
   store_.for_each([&](const SubscriptionStore::Record& rec) {
-    if (!rec.replica) return;
-    if (std::any_of(rec.ranges.begin(), rec.ranges.end(),
-                    [&](const KeyRange& r) {
-                      return coverage_intersects(r);
-                    })) {
-      adopt.push_back({rec.sub, rec.expires_at, rec.ranges, false});
+    if (rec.replica && first_covered_range(rec.ranges) != nullptr) {
+      adopt.push_back({rec.sub, rec.expires_at, rec.ranges, /*replica=*/false});
     }
   });
-  for (const StoredSubRecord& rec : adopt) {
-    store_.insert(SubscriptionStore::Record{rec.sub, rec.expires_at,
-                                            rec.ranges, /*replica=*/false});
-  }
+  for (const SubscriptionStore::Record& rec : adopt) store_.insert(rec);
   // Re-home second: an owned record none of whose ranges intersect our
   // coverage is stranded here (accepted while our predecessor was
   // unknown mid-repair, so our believed coverage was transiently huge).
   // Re-issue it toward its current rendezvous and drop our copy.
   std::vector<StoredSubRecord> stranded;
   store_.for_each([&](const SubscriptionStore::Record& rec) {
-    if (rec.replica) return;
-    if (!std::any_of(rec.ranges.begin(), rec.ranges.end(),
-                     [&](const KeyRange& r) {
-                       return coverage_intersects(r);
-                     })) {
+    if (!rec.replica && first_covered_range(rec.ranges) == nullptr) {
       stranded.push_back({rec.sub, rec.expires_at, rec.ranges, false});
     }
   });
-  for (const StoredSubRecord& rec : stranded) {
+  for (StoredSubRecord& rec : stranded) {
     store_.remove(rec.sub->id);
     ++reissued_imports_;
-    send_to_keys(mapping_.subscription_keys(*rec.sub),
-                 std::make_shared<SubscribeMsg>(rec.sub, rec.expires_at,
-                                                rec.ranges),
-                 cfg_.sub_transport);
+    reissue(rec.sub, rec.expires_at, std::move(rec.ranges));
   }
   std::size_t n = 0;
   store_.for_each([&](const SubscriptionStore::Record& rec) {
     if (rec.replica) return;
-    overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
-        StoredSubRecord{rec.sub, rec.expires_at, rec.ranges},
-        cfg_.replication_factor));
+    replicate(rec.sub, rec.expires_at, rec.ranges);
     ++n;
   });
   return n;
@@ -233,9 +274,8 @@ void PubSubNode::dispatch(std::span<const Key> covered,
   } else if (auto* rrm =
                  dynamic_cast<const ReplicaRemoveMsg*>(payload.get())) {
     handle_replica_remove(*rrm);
-  } else if (auto* st = dynamic_cast<const StateMsg*>(payload.get())) {
+  } else if (dynamic_cast<const StateMsg*>(payload.get()) != nullptr) {
     import_state(payload);
-    (void)st;
   } else {
     CBPS_LOG_WARN << "pubsub node " << overlay_.id()
                   << ": unknown payload type dropped";
@@ -255,11 +295,7 @@ void PubSubNode::handle_subscribe(const SubscribeMsg& msg,
                                 /*replica=*/false};
   const bool fresh = store_.insert(rec);
   if (msg.expires_at != sim::kSimTimeNever) schedule_sweep();
-  if (fresh && cfg_.replication_factor > 0) {
-    overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
-        StoredSubRecord{msg.sub, msg.expires_at, msg.ranges},
-        cfg_.replication_factor));
-  }
+  if (fresh) replicate(msg.sub, msg.expires_at, msg.ranges);
 }
 
 void PubSubNode::handle_unsubscribe(const UnsubscribeMsg& msg) {
@@ -290,18 +326,15 @@ void PubSubNode::handle_replica_remove(const ReplicaRemoveMsg& msg) {
   }
 }
 
-void PubSubNode::handle_publish(const PublishMsg& msg,
-                                std::span<const Key> covered) {
-  switch (cfg_.dissemination) {
-    case PubSubConfig::Dissemination::kUnicast:
-      break;
-    case PubSubConfig::Dissemination::kMcast:
-      disseminate_mcast(msg, covered);
-      return;
-    case PubSubConfig::Dissemination::kGossip:
-      disseminate_gossip(msg, covered);
-      return;
-  }
+// ---------------------------------------------------------------------------
+// The notify leg's shared steps: match, deliver, notify-send — one copy
+// each, whichever backend carries the notifications
+// ---------------------------------------------------------------------------
+
+template <typename OnMatch>
+void PubSubNode::for_each_match(const PublishMsg& msg,
+                                std::span<const Key> covered,
+                                OnMatch&& on_match) {
   const auto matches = store_.match(*msg.event, sim_.now());
   std::vector<std::uint64_t> per_key_notifies(covered.size(), 0);
   for (const SubscriptionStore::Record* rec : matches) {
@@ -310,32 +343,20 @@ void PubSubNode::handle_publish(const PublishMsg& msg,
     // subscription's own selective key notifies. The first responsible
     // covered key takes the load attribution, so each notification is
     // charged exactly once.
-    std::size_t ki = covered.size();
-    for (std::size_t i = 0; i < covered.size(); ++i) {
-      if (mapping_.should_notify(*rec->sub, *msg.event, covered[i])) {
-        ki = i;
-        break;
-      }
+    std::size_t ki = 0;
+    while (ki < covered.size() &&
+           !mapping_.should_notify(*rec->sub, *msg.event, covered[ki])) {
+      ++ki;
     }
     if (ki == covered.size()) continue;
     ++per_key_notifies[ki];
     key_load_.notify_fanout.offer(covered[ki]);
-    route_match(*rec, msg.event, msg.published_at, msg.trace);
+    on_match(*rec);
   }
-  record_match_load(msg, covered, matches.size(), per_key_notifies);
-}
-
-/// Shared tail of the match paths (unicast handle_publish and the
-/// m-cast/gossip collect_entries): per-key match-invocation and
-/// match-set-size attribution plus the kHotKey trace spans.
-void PubSubNode::record_match_load(
-    const PublishMsg& msg, std::span<const Key> covered,
-    std::size_t match_set_size,
-    const std::vector<std::uint64_t>& per_key_notifies) {
   const sim::SimTime now = sim_.now();
   for (std::size_t i = 0; i < covered.size(); ++i) {
     key_load_.match_calls.offer(covered[i]);
-    key_load_.match_units.offer(covered[i], match_set_size);
+    key_load_.match_units.offer(covered[i], matches.size());
     if (trace_ != nullptr && msg.trace.sampled()) {
       trace_->emit(msg.trace, SpanKind::kHotKey, overlay_.id(), now, now,
                    covered[i], per_key_notifies[i]);
@@ -343,46 +364,88 @@ void PubSubNode::record_match_load(
   }
 }
 
+void PubSubNode::handle_publish(const PublishMsg& msg,
+                                std::span<const Key> covered) {
+  switch (cfg_.dissemination) {
+    case PubSubConfig::Dissemination::kUnicast:
+      for_each_match(msg, covered, [&](const SubscriptionStore::Record& rec) {
+        route_match(rec, msg);
+      });
+      return;
+    case PubSubConfig::Dissemination::kMcast:
+      disseminate_mcast(msg, covered);
+      return;
+    case PubSubConfig::Dissemination::kGossip:
+      disseminate_gossip(msg, covered);
+      return;
+  }
+}
+
 void PubSubNode::handle_notify(const NotifyMsg& msg) {
-  const sim::SimTime now = sim_.now();
   if (msg.subscriber != overlay_.id()) {
     // Notifications are routed by the subscriber's key, so when the
     // addressee is gone (crashed, or the ring moved mid-route) the
     // message lands on whoever now owns that key. Surfacing it here
     // would be a ghost delivery under the dead subscriber's identity.
-    misdirected_notifies_ += msg.batch.size();
-    if (trace_ != nullptr) {
-      for (const Notification& n : msg.batch) {
-        if (!n.trace.sampled()) continue;
-        trace_->emit(n.trace, SpanKind::kDrop, overlay_.id(), now, now,
-                     static_cast<std::uint64_t>(DropReason::kMisdirected));
-      }
+    for (const Notification& n : msg.batch) {
+      drop(misdirected_notifies_, n.trace, DropReason::kMisdirected);
     }
     return;
   }
-  for (const Notification& n : msg.batch) {
-    if (cfg_.duplicate_suppression &&
-        !delivered_.emplace(n.event->id, n.subscription).second) {
-      ++duplicates_suppressed_;
-      if (trace_ != nullptr && n.trace.sampled()) {
-        trace_->emit(n.trace, SpanKind::kDrop, overlay_.id(), now, now,
-                     static_cast<std::uint64_t>(DropReason::kDuplicate));
-      }
-      continue;
-    }
-    ++notifications_received_;
-    const double delay_s = sim::to_seconds(now - n.published_at);
-    notification_delay_.add(delay_s);
-    delay_hist_.add(delay_s);
-    if (trace_ != nullptr && n.trace.sampled()) {
-      // Instant at arrival — a span must not start before its parent
-      // (the notify send); the end-to-end latency is the distance to the
-      // trace's publish root (and lives in the delay histogram anyway).
-      trace_->emit(n.trace, SpanKind::kDeliver, overlay_.id(), now, now,
-                   n.subscription, n.event->id);
-    }
-    if (sink_) sink_(msg.subscriber, n);
+  const sim::SimTime now = sim_.now();
+  for (const Notification& n : msg.batch) deliver(msg.subscriber, n, now);
+}
+
+void PubSubNode::deliver(Key subscriber, const Notification& n,
+                         sim::SimTime now) {
+  if (cfg_.duplicate_suppression &&
+      !delivered_.emplace(n.event->id, n.subscription).second) {
+    drop(duplicates_suppressed_, n.trace, DropReason::kDuplicate);
+    return;
   }
+  ++notifications_received_;
+  const double delay_s = sim::to_seconds(now - n.published_at);
+  notification_delay_.add(delay_s);
+  delay_hist_.add(delay_s);
+  if (trace_ != nullptr && n.trace.sampled()) {
+    // Instant at arrival — a span must not start before its parent
+    // (the notify send); the end-to-end latency is the distance to the
+    // trace's publish root (and lives in the delay histogram anyway).
+    trace_->emit(n.trace, SpanKind::kDeliver, overlay_.id(), now, now,
+                 n.subscription, n.event->id);
+  }
+  if (sink_) sink_(subscriber, n);
+}
+
+void PubSubNode::drop(std::uint64_t& counter, const metrics::TraceRef& t,
+                      DropReason why) {
+  ++counter;
+  if (trace_ == nullptr || !t.sampled()) return;
+  const sim::SimTime now = sim_.now();
+  trace_->emit(t, SpanKind::kDrop, overlay_.id(), now, now,
+               static_cast<std::uint64_t>(why));
+}
+
+void PubSubNode::chain_span(metrics::TraceRef& t, SpanKind kind,
+                            std::uint64_t a, std::uint64_t b) {
+  if (trace_ == nullptr || !t.sampled()) return;
+  const sim::SimTime now = sim_.now();
+  const std::uint64_t span =
+      trace_->emit(t, kind, overlay_.id(), now, now, a, b);
+  if (span != 0) t.parent_span = span;
+}
+
+void PubSubNode::arm_once(bool& armed, sim::SimTime after,
+                          void (PubSubNode::*fire)()) {
+  if (armed) return;
+  armed = true;
+  // A one-shot timer is this node's own event: key/place it on this
+  // node's overlay domain (same shard as the rest of its state).
+  const common::ActorScope as(overlay_.domain());
+  sim_.schedule_after(after, [this, &armed, fire] {
+    armed = false;
+    if (!halted_) (this->*fire)();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -393,28 +456,11 @@ void PubSubNode::handle_notify(const NotifyMsg& msg) {
 std::vector<GossipEntry> PubSubNode::collect_entries(
     const PublishMsg& msg, std::span<const Key> covered) {
   std::vector<GossipEntry> entries;
-  const auto matches = store_.match(*msg.event, sim_.now());
-  std::vector<std::uint64_t> per_key_notifies(covered.size(), 0);
-  for (const SubscriptionStore::Record* rec : matches) {
-    // Same exactly-once filter as the unicast path: with multi-key EK
-    // mappings only the rendezvous holding the subscription's selective
-    // key disseminates. As there, the first responsible covered key
-    // takes the load attribution.
-    std::size_t ki = covered.size();
-    for (std::size_t i = 0; i < covered.size(); ++i) {
-      if (mapping_.should_notify(*rec->sub, *msg.event, covered[i])) {
-        ki = i;
-        break;
-      }
-    }
-    if (ki == covered.size()) continue;
-    ++per_key_notifies[ki];
-    key_load_.notify_fanout.offer(covered[ki]);
+  for_each_match(msg, covered, [&](const SubscriptionStore::Record& rec) {
     entries.push_back(GossipEntry{
-        rec->sub->subscriber,
-        Notification{msg.event, rec->sub->id, msg.published_at, msg.trace}});
-  }
-  record_match_load(msg, covered, matches.size(), per_key_notifies);
+        rec.sub->subscriber,
+        Notification{msg.event, rec.sub->id, msg.published_at, msg.trace}});
+  });
   // Canonical entry order: the record/payload is wire content, so its
   // layout must not depend on the match engine's internal order (D1).
   std::sort(entries.begin(), entries.end(),
@@ -430,26 +476,9 @@ std::vector<GossipEntry> PubSubNode::collect_entries(
 void PubSubNode::surface_own_entries(const std::vector<GossipEntry>& entries) {
   const sim::SimTime now = sim_.now();
   for (const GossipEntry& e : entries) {
-    if (e.subscriber != overlay_.id()) continue;
-    const Notification& n = e.notification;
-    if (cfg_.duplicate_suppression &&
-        !delivered_.emplace(n.event->id, n.subscription).second) {
-      ++duplicates_suppressed_;
-      if (trace_ != nullptr && n.trace.sampled()) {
-        trace_->emit(n.trace, SpanKind::kDrop, overlay_.id(), now, now,
-                     static_cast<std::uint64_t>(DropReason::kDuplicate));
-      }
-      continue;
+    if (e.subscriber == overlay_.id()) {
+      deliver(e.subscriber, e.notification, now);
     }
-    ++notifications_received_;
-    const double delay_s = sim::to_seconds(now - n.published_at);
-    notification_delay_.add(delay_s);
-    delay_hist_.add(delay_s);
-    if (trace_ != nullptr && n.trace.sampled()) {
-      trace_->emit(n.trace, SpanKind::kDeliver, overlay_.id(), now, now,
-                   n.subscription, n.event->id);
-    }
-    if (sink_) sink_(e.subscriber, n);
   }
 }
 
@@ -458,62 +487,31 @@ void PubSubNode::disseminate_mcast(const PublishMsg& msg,
   auto out = std::make_shared<MultiNotifyMsg>();
   out->entries = collect_entries(msg, covered);
   if (out->entries.empty()) return;
-  std::vector<Key> group;
-  for (const GossipEntry& e : out->entries) {
-    if (group.empty() || group.back() != e.subscriber) {
-      group.push_back(e.subscriber);
-    }
-  }
-  if (trace_ != nullptr) {
-    const auto now = sim_.now();
-    for (GossipEntry& e : out->entries) {
-      Notification& n = e.notification;
-      if (!n.trace.sampled()) continue;
-      const std::uint64_t span =
-          trace_->emit(n.trace, SpanKind::kNotify, overlay_.id(), now, now,
-                       e.subscriber, out->entries.size());
-      if (span != 0) n.trace.parent_span = span;
-    }
+  std::vector<Key> group = group_of(out->entries);
+  for (GossipEntry& e : out->entries) {
+    chain_span(e.notification.trace, SpanKind::kNotify, e.subscriber,
+               out->entries.size());
   }
   ++notify_batches_sent_;
   notifications_sent_ += out->entries.size();
-  for (const GossipEntry& e : out->entries) {
-    if (e.notification.trace.sampled()) {
-      out->trace = e.notification.trace;
-      break;
-    }
-  }
+  out->trace = first_sampled(out->entries);
   overlay_.m_cast(std::move(group), std::move(out));
 }
 
 void PubSubNode::handle_multi_notify(const MultiNotifyMsg& msg,
                                      std::span<const Key> covered) {
-  const sim::SimTime now = sim_.now();
   for (const GossipEntry& e : msg.entries) {
-    if (e.subscriber == overlay_.id()) continue;
     // We cover this entry's subscriber key but are not that subscriber:
     // the addressee crashed (or the ring moved). Ghost-drop, as in
     // handle_notify.
-    if (std::find(covered.begin(), covered.end(), e.subscriber) !=
-        covered.end()) {
-      ++misdirected_notifies_;
-      if (trace_ != nullptr && e.notification.trace.sampled()) {
-        trace_->emit(e.notification.trace, SpanKind::kDrop, overlay_.id(),
-                     now, now,
-                     static_cast<std::uint64_t>(DropReason::kMisdirected));
-      }
+    if (e.subscriber != overlay_.id() &&
+        std::find(covered.begin(), covered.end(), e.subscriber) !=
+            covered.end()) {
+      drop(misdirected_notifies_, e.notification.trace,
+           DropReason::kMisdirected);
     }
   }
   surface_own_entries(msg.entries);
-}
-
-std::uint32_t PubSubNode::gossip_rounds_for(std::size_t group_size) const {
-  if (cfg_.gossip_rounds != 0) return cfg_.gossip_rounds;
-  // Push epidemics infect the group w.h.p. in O(log n) rounds; two extra
-  // rounds of slack absorb unlucky fan-out collisions.
-  std::uint32_t r = 0;
-  while ((std::size_t{1} << r) < group_size) ++r;
-  return r + 2;
 }
 
 void PubSubNode::disseminate_gossip(const PublishMsg& msg,
@@ -523,11 +521,7 @@ void PubSubNode::disseminate_gossip(const PublishMsg& msg,
   if (rec->entries.empty()) return;
   rec->id = GossipId{overlay_.id(), next_gossip_seq_++};
   rec->seeded_at = sim_.now();
-  for (const GossipEntry& e : rec->entries) {
-    if (rec->group.empty() || rec->group.back() != e.subscriber) {
-      rec->group.push_back(e.subscriber);
-    }
-  }
+  rec->group = group_of(rec->entries);
   ++notify_batches_sent_;
   notifications_sent_ += rec->entries.size();
   const GossipRecordPtr ptr = rec;  // immutable from here on
@@ -544,13 +538,7 @@ void PubSubNode::gossip_push(const GossipRecordPtr& rec,
     if (k != overlay_.id()) cand.push_back(k);
   }
   if (cand.empty()) return;
-  metrics::TraceRef rtrace;
-  for (const GossipEntry& e : rec->entries) {
-    if (e.notification.trace.sampled()) {
-      rtrace = e.notification.trace;
-      break;
-    }
-  }
+  const metrics::TraceRef rtrace = first_sampled(rec->entries);
   const sim::SimTime now = sim_.now();
   // Partial Fisher-Yates over the group: fanout distinct peers, drawn
   // from this node's own gossip stream (never the overlay's or the
@@ -589,12 +577,7 @@ void PubSubNode::handle_gossip(const GossipMsg& msg) {
     // Pushes are key-routed, so a crashed member's share lands on its
     // key's new owner. Ghost-drop; anti-entropy is what recovers the
     // member if it comes back.
-    ++gossip_stats_.misdirected;
-    if (trace_ != nullptr && msg.trace.sampled()) {
-      const sim::SimTime now = sim_.now();
-      trace_->emit(msg.trace, SpanKind::kDrop, overlay_.id(), now, now,
-                   static_cast<std::uint64_t>(DropReason::kMisdirected));
-    }
+    drop(gossip_stats_.misdirected, msg.trace, DropReason::kMisdirected);
     return;
   }
   if (!absorb_gossip_record(msg.rec)) {
@@ -606,14 +589,9 @@ void PubSubNode::handle_gossip(const GossipMsg& msg) {
 }
 
 void PubSubNode::schedule_anti_entropy() {
-  if (anti_entropy_scheduled_ || cfg_.anti_entropy_period == 0) return;
-  if (gossip_seen_.empty()) return;
-  anti_entropy_scheduled_ = true;
-  const common::ActorScope as(overlay_.domain());
-  sim_.schedule_after(cfg_.anti_entropy_period, [this] {
-    anti_entropy_scheduled_ = false;
-    if (!halted_) anti_entropy_tick();
-  });
+  if (cfg_.anti_entropy_period == 0 || gossip_seen_.empty()) return;
+  arm_once(anti_entropy_scheduled_, cfg_.anti_entropy_period,
+           &PubSubNode::anti_entropy_tick);
 }
 
 std::shared_ptr<GossipDigestMsg> PubSubNode::build_digest(Key to,
@@ -683,10 +661,6 @@ void PubSubNode::handle_gossip_digest(const GossipDigestMsg& msg) {
     ++gossip_stats_.misdirected;
     return;
   }
-  answer_digest(msg);
-}
-
-void PubSubNode::answer_digest(const GossipDigestMsg& msg) {
   // Event repair: every cached record the digest's have-list lacks —
   // but only records whose group contains the peer. A record the peer
   // is not a member of is not the peer's business: pushing it would
@@ -747,19 +721,17 @@ void PubSubNode::handle_gossip_repair(const GossipRepairMsg& msg) {
     ++gossip_stats_.misdirected;
     return;
   }
-  const sim::SimTime now = sim_.now();
   for (const GossipRecordPtr& rec : msg.records) {
     // Repaired records do not re-enter the push phase (no gossip_push):
     // anti-entropy converges, it does not re-ignite the epidemic.
     if (!absorb_gossip_record(rec)) continue;
     ++gossip_stats_.repair_records;
-    if (trace_ != nullptr) {
-      for (const GossipEntry& e : rec->entries) {
-        if (!e.notification.trace.sampled()) continue;
-        trace_->emit(e.notification.trace, SpanKind::kGossipRepair,
-                     overlay_.id(), now, now, rec->entries.size());
-        break;
-      }
+    if (trace_ == nullptr) continue;
+    if (const metrics::TraceRef t = first_sampled(rec->entries);
+        t.sampled()) {
+      const sim::SimTime now = sim_.now();
+      trace_->emit(t, SpanKind::kGossipRepair, overlay_.id(), now, now,
+                   rec->entries.size());
     }
   }
 }
@@ -776,12 +748,7 @@ void PubSubNode::handle_gossip_sub_repair(const GossipSubRepairMsg& msg) {
     }
     // Coverage check, as on state import: the sender's view of our
     // responsibility may be stale.
-    if (!std::any_of(rec.ranges.begin(), rec.ranges.end(),
-                     [&](const KeyRange& r) {
-                       return coverage_intersects(r);
-                     })) {
-      continue;
-    }
+    if (first_covered_range(rec.ranges) == nullptr) continue;
     const bool fresh = store_.insert(SubscriptionStore::Record{
         rec.sub, rec.expires_at, rec.ranges, /*replica=*/false});
     any_expiring |= rec.expires_at != sim::kSimTimeNever;
@@ -789,11 +756,7 @@ void PubSubNode::handle_gossip_sub_repair(const GossipSubRepairMsg& msg) {
     ++gossip_stats_.subs_learned;
     // A record learned (or upgraded from a replica) this way needs a
     // replica chain along the *current* successors.
-    if (cfg_.replication_factor > 0) {
-      overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
-          StoredSubRecord{rec.sub, rec.expires_at, rec.ranges},
-          cfg_.replication_factor));
-    }
+    replicate(rec.sub, rec.expires_at, rec.ranges);
   }
   if (any_expiring) schedule_sweep();
 }
@@ -803,59 +766,43 @@ void PubSubNode::handle_gossip_sub_repair(const GossipSubRepairMsg& msg) {
 // ---------------------------------------------------------------------------
 
 void PubSubNode::route_match(const SubscriptionStore::Record& rec,
-                             EventPtr event, sim::SimTime published_at,
-                             metrics::TraceRef trace) {
-  Notification n{std::move(event), rec.sub->id, published_at, trace};
+                             const PublishMsg& msg) {
+  Notification n{msg.event, rec.sub->id, msg.published_at, msg.trace};
   const Key subscriber = rec.sub->subscriber;
-
   if (cfg_.collecting) {
-    const KeyRange* range = my_range_for(rec);
+    const KeyRange* range = first_covered_range(rec.ranges);
     if (range != nullptr && range->size(overlay_.ring()) > 1 &&
         !is_agent_for(*range)) {
       enqueue_collect(CollectItem{*range, subscriber, std::move(n)});
       return;
     }
-    // We are the agent (or the range is degenerate): buffer and flush
-    // periodically toward the subscriber.
+  }
+  if (cfg_.buffering || cfg_.collecting) {
+    // Periodic per-subscriber batches; with collecting, we are the agent
+    // (or the range is degenerate).
     buffer_notification(subscriber, std::move(n));
     return;
   }
-  if (cfg_.buffering) {
-    buffer_notification(subscriber, std::move(n));
-    return;
-  }
-  if (trace_ != nullptr && n.trace.sampled()) {
-    const auto now = sim_.now();
-    const std::uint64_t span = trace_->emit(
-        n.trace, SpanKind::kNotify, overlay_.id(), now, now, subscriber, 1);
-    if (span != 0) n.trace.parent_span = span;
-  }
+  send_notify(subscriber, std::vector<Notification>{std::move(n)});
+}
+
+void PubSubNode::send_notify(Key subscriber,
+                             std::vector<Notification> batch) {
   ++notify_batches_sent_;
-  ++notifications_sent_;
-  auto out = std::make_shared<NotifyMsg>(
-      subscriber, std::vector<Notification>{std::move(n)});
-  out->trace = out->batch.front().trace;
+  notifications_sent_ += batch.size();
+  for (Notification& n : batch) {
+    chain_span(n.trace, SpanKind::kNotify, subscriber, batch.size());
+  }
+  auto out = std::make_shared<NotifyMsg>(subscriber, std::move(batch));
+  out->trace = first_sampled(out->batch);
   overlay_.send(subscriber, std::move(out));
 }
 
 void PubSubNode::buffer_notification(Key subscriber, Notification n) {
-  if (trace_ != nullptr && n.trace.sampled()) {
-    const auto now = sim_.now();
-    const std::uint64_t span = trace_->emit(
-        n.trace, SpanKind::kBuffer, overlay_.id(), now, now, subscriber);
-    if (span != 0) n.trace.parent_span = span;
-  }
+  chain_span(n.trace, SpanKind::kBuffer, subscriber);
   notify_buffer_[subscriber].push_back(std::move(n));
-  if (!flush_scheduled_) {
-    flush_scheduled_ = true;
-    // The flush timer is this node's own event: key/place it on this
-    // node's overlay domain (same shard as the rest of its state).
-    const common::ActorScope as(overlay_.domain());
-    sim_.schedule_after(cfg_.buffer_period, [this] {
-      flush_scheduled_ = false;
-      if (!halted_) flush_notify_buffer();
-    });
-  }
+  arm_once(flush_scheduled_, cfg_.buffer_period,
+           &PubSubNode::flush_notify_buffer);
 }
 
 void PubSubNode::flush_notify_buffer() {
@@ -863,52 +810,20 @@ void PubSubNode::flush_notify_buffer() {
   // decides wire RNG draws and event keys downstream, so it must not
   // depend on the buffer's bucket layout (D1).
   for (auto* entry : sorted_view(notify_buffer_)) {
-    const Key subscriber = entry->first;
-    std::vector<Notification>& batch = entry->second;
-    if (batch.empty()) continue;
-    ++notify_batches_sent_;
-    notifications_sent_ += batch.size();
-    if (trace_ != nullptr) {
-      const auto now = sim_.now();
-      for (Notification& n : batch) {
-        if (!n.trace.sampled()) continue;
-        const std::uint64_t span =
-            trace_->emit(n.trace, SpanKind::kNotify, overlay_.id(), now, now,
-                         subscriber, batch.size());
-        if (span != 0) n.trace.parent_span = span;
-      }
+    if (!entry->second.empty()) {
+      send_notify(entry->first, std::move(entry->second));
     }
-    auto out = std::make_shared<NotifyMsg>(subscriber, std::move(batch));
-    for (const Notification& n : out->batch) {
-      if (n.trace.sampled()) {
-        out->trace = n.trace;  // overlay hop spans attach to one of them
-        break;
-      }
-    }
-    overlay_.send(subscriber, std::move(out));
   }
   notify_buffer_.clear();
 }
 
 void PubSubNode::enqueue_collect(CollectItem item) {
-  if (trace_ != nullptr && item.notification.trace.sampled()) {
-    const auto now = sim_.now();
-    const std::uint64_t span =
-        trace_->emit(item.notification.trace, SpanKind::kCollect,
-                     overlay_.id(), now, now, item.subscriber);
-    if (span != 0) item.notification.trace.parent_span = span;
-  }
+  chain_span(item.notification.trace, SpanKind::kCollect, item.subscriber);
   auto& queue =
       agent_toward_successor(item.range) ? collect_to_succ_ : collect_to_pred_;
   queue.push_back(std::move(item));
-  if (!collect_scheduled_) {
-    collect_scheduled_ = true;
-    const common::ActorScope as(overlay_.domain());
-    sim_.schedule_after(cfg_.buffer_period, [this] {
-      collect_scheduled_ = false;
-      if (!halted_) flush_collect_buffers();
-    });
-  }
+  arm_once(collect_scheduled_, cfg_.buffer_period,
+           &PubSubNode::flush_collect_buffers);
 }
 
 void PubSubNode::flush_collect_buffers() {
@@ -920,12 +835,7 @@ void PubSubNode::flush_collect_buffers() {
     if (items.empty()) return;
     auto out = std::make_shared<CollectMsg>(std::move(items));
     items.clear();
-    for (const CollectItem& item : out->items) {
-      if (item.notification.trace.sampled()) {
-        out->trace = item.notification.trace;
-        break;
-      }
-    }
+    out->trace = first_sampled(out->items);
     if (to_successor) {
       overlay_.send_to_successor(std::move(out));
     } else {
@@ -984,20 +894,14 @@ bool PubSubNode::covers_key(Key k) const {
   return ring.in_open_closed(pred, overlay_.id(), k);
 }
 
-bool PubSubNode::coverage_intersects(const KeyRange& r) const {
+const KeyRange* PubSubNode::first_covered_range(
+    const std::vector<KeyRange>& ranges) const {
   const RingParams ring = overlay_.ring();
+  const Key self = overlay_.id();
   const Key pred = overlay_.predecessor_id();
-  if (pred == overlay_.id()) return true;
-  // (pred, id] and [r.lo, r.hi] intersect iff either contains the
-  // other's first element.
-  return ring.in_open_closed(pred, overlay_.id(), r.lo) ||
-         ring.in_closed_closed(r.lo, r.hi, ring.add(pred, 1));
-}
-
-const KeyRange* PubSubNode::my_range_for(
-    const SubscriptionStore::Record& rec) const {
-  for (const KeyRange& r : rec.ranges) {
-    if (coverage_intersects(r)) return &r;
+  for (const KeyRange& r : ranges) {
+    // A lone node covers the whole ring.
+    if (pred == self || arc_intersects(ring, pred, self, r)) return &r;
   }
   return nullptr;
 }
@@ -1022,9 +926,7 @@ overlay::PayloadPtr PubSubNode::export_state(Key range_lo, Key range_hi,
                                              bool remove) {
   const RingParams ring = overlay_.ring();
   const auto in_handed_range = [&](const KeyRange& r) {
-    // (range_lo, range_hi] vs [r.lo, r.hi]
-    return ring.in_open_closed(range_lo, range_hi, r.lo) ||
-           ring.in_closed_closed(r.lo, r.hi, ring.add(range_lo, 1));
+    return arc_intersects(ring, range_lo, range_hi, r);
   };
 
   std::vector<StoredSubRecord> out;
@@ -1056,8 +958,7 @@ overlay::PayloadPtr PubSubNode::export_state(Key range_lo, Key range_hi,
       }
       if (nothing_left) return true;
       const auto in_remaining = [&](const KeyRange& r) {
-        return ring.in_open_closed(range_hi, overlay_.id(), r.lo) ||
-               ring.in_closed_closed(r.lo, r.hi, ring.add(range_hi, 1));
+        return arc_intersects(ring, range_hi, overlay_.id(), r);
       };
       return !std::any_of(rec.ranges.begin(), rec.ranges.end(),
                           in_remaining);
@@ -1080,27 +981,16 @@ void PubSubNode::import_state(const overlay::PayloadPtr& state) {
     // on a node the re-merged ring no longer makes responsible for any
     // of the record's ranges. Storing it here would strand it — re-issue
     // it as a fresh subscription toward the current rendezvous instead.
-    if (!rec.replica &&
-        !std::any_of(rec.ranges.begin(), rec.ranges.end(),
-                     [&](const KeyRange& r) {
-                       return coverage_intersects(r);
-                     })) {
+    if (!rec.replica && first_covered_range(rec.ranges) == nullptr) {
       ++reissued_imports_;
-      send_to_keys(mapping_.subscription_keys(*rec.sub),
-                   std::make_shared<SubscribeMsg>(rec.sub, rec.expires_at,
-                                                  rec.ranges),
-                   cfg_.sub_transport);
+      reissue(rec.sub, rec.expires_at, rec.ranges);
       continue;
     }
     const bool fresh = store_.insert(SubscriptionStore::Record{
         rec.sub, rec.expires_at, rec.ranges, rec.replica});
     // A freshly learned owned record needs its replica chain built along
     // the *current* successors (the exporter's chain predates the move).
-    if (fresh && !rec.replica && cfg_.replication_factor > 0) {
-      overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
-          StoredSubRecord{rec.sub, rec.expires_at, rec.ranges},
-          cfg_.replication_factor));
-    }
+    if (fresh && !rec.replica) replicate(rec.sub, rec.expires_at, rec.ranges);
     any_expiring |= rec.expires_at != sim::kSimTimeNever;
   }
   if (any_expiring) schedule_sweep();

@@ -439,40 +439,114 @@ TEST_F(PubSubNodeUnitTest, ReplicaRecordsAreNeverAdvertisedOrRepaired) {
   EXPECT_EQ(reply->subs[0].id, 2u);
 }
 
-// Regression (duplicate-delivery accounting): the same NotifyMsg
+// Regression (duplicate-delivery accounting): the same notification
 // replayed at a node — the overlay's ack/retry layer can do exactly that
-// — must surface to the application and the oracle once.
+// — must surface to the application and the oracle once, whichever
+// backend carries it: a unicast NotifyMsg, an m-cast MultiNotifyMsg, or
+// a GossipMsg (a re-seeded record has a fresh gossip id, so only the
+// delivery step's filter can catch it).
 TEST_F(PubSubNodeUnitTest, ReplayedNotifyMsgSurfacesOnce) {
-  FakeOverlay overlay(RingParams{8}, 100, 50, 150);
-  PubSubConfig cfg;
-  cfg.duplicate_suppression = true;
-  auto node = make_node(overlay, cfg);
+  enum class Carrier { kNotify, kMultiNotify, kGossip };
+  // The `copy`-th carrier of notification `n` for subscriber 100.
+  const auto carry = [](Carrier carrier, const Notification& n,
+                        std::uint64_t copy) -> overlay::PayloadPtr {
+    switch (carrier) {
+      case Carrier::kNotify:
+        return std::make_shared<NotifyMsg>(100, std::vector<Notification>{n});
+      case Carrier::kMultiNotify: {
+        auto mn = std::make_shared<MultiNotifyMsg>();
+        mn->entries = {GossipEntry{100, n}};
+        return mn;
+      }
+      case Carrier::kGossip: {
+        auto rec = std::make_shared<GossipRecord>();
+        rec->id = GossipId{/*origin=*/7, /*seq=*/copy};
+        rec->group = {100};
+        rec->entries = {GossipEntry{100, n}};
+        return std::make_shared<GossipMsg>(100, std::move(rec), 0);
+      }
+    }
+    return nullptr;
+  };
+  for (const Carrier carrier :
+       {Carrier::kNotify, Carrier::kMultiNotify, Carrier::kGossip}) {
+    SCOPED_TRACE(static_cast<int>(carrier));
+    FakeOverlay overlay(RingParams{8}, 100, 50, 150);
+    PubSubConfig cfg;
+    cfg.duplicate_suppression = true;
+    auto node = make_node(overlay, cfg);
 
-  DeliveryChecker checker;
-  const auto sub = make_sub(1, /*subscriber=*/100, 0, 100);
-  checker.on_subscribe(sub, sim::sec(0), sim::kSimTimeNever);
+    DeliveryChecker checker;
+    const auto sub = make_sub(1, /*subscriber=*/100, 0, 100);
+    checker.on_subscribe(sub, sim::sec(0), sim::kSimTimeNever);
+    int sink_calls = 0;
+    node->set_notify_sink([&](Key s, const Notification& n) {
+      ++sink_calls;
+      checker.on_notify(s, n, sim_.now());
+    });
+
+    auto e = std::make_shared<Event>();
+    e->id = 1;
+    e->values = {50};
+    checker.on_publish(e, sim::sec(100));
+    const Notification n{e, 1, sim::sec(100), {}};
+    node->on_deliver(100, carry(carrier, n, 1));
+    node->on_deliver(100, carry(carrier, n, 2));  // replay
+
+    EXPECT_EQ(sink_calls, 1);
+    EXPECT_EQ(node->notifications_received(), 1u);
+    EXPECT_EQ(node->duplicates_suppressed(), 1u);
+    const auto report = checker.verify();
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.delivered, 1u);
+    EXPECT_EQ(report.duplicates, 0u);
+  }
+}
+
+// Ghost guard: a notification key-routed onto the node that now covers
+// a crashed subscriber's key is dropped there — counted as misdirected,
+// never surfaced, one kDrop/kMisdirected span per sampled notification.
+TEST_F(PubSubNodeUnitTest, MisdirectedNotificationsAreGhostDropped) {
+  FakeOverlay overlay(RingParams{8}, /*id=*/100, /*pred=*/50, /*succ=*/150);
+  auto node = make_node(overlay);
+  metrics::TraceSink traces(1.0);
+  node->set_trace_sink(&traces);
   int sink_calls = 0;
-  node->set_notify_sink([&](Key s, const Notification& n) {
-    ++sink_calls;
-    checker.on_notify(s, n, sim_.now());
-  });
+  node->set_notify_sink([&](Key, const Notification&) { ++sink_calls; });
 
   auto e = std::make_shared<Event>();
   e->id = 1;
   e->values = {50};
-  checker.on_publish(e, sim::sec(100));
-  const auto notify = std::make_shared<NotifyMsg>(
-      /*subscriber=*/100, std::vector<Notification>{{e, 1, sim::sec(100)}});
-  node->on_deliver(100, notify);
-  node->on_deliver(100, std::make_shared<NotifyMsg>(*notify));  // replay
+  const metrics::TraceRef sampled{traces.maybe_start_trace(), 0};
+  ASSERT_TRUE(sampled.sampled());
 
-  EXPECT_EQ(sink_calls, 1);
-  EXPECT_EQ(node->notifications_received(), 1u);
-  EXPECT_EQ(node->duplicates_suppressed(), 1u);
-  const auto report = checker.verify();
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.delivered, 1u);
-  EXPECT_EQ(report.duplicates, 0u);
+  // A NotifyMsg for subscriber 90 (covered here, but not this node): one
+  // sampled and one unsampled notification.
+  node->on_deliver(90, std::make_shared<NotifyMsg>(
+                           90, std::vector<Notification>{
+                                   {e, 1, 0, sampled}, {e, 2, 0, {}}}));
+  EXPECT_EQ(node->misdirected_notifies(), 2u);
+
+  // A MultiNotifyMsg whose entry for subscriber 80 lands here as the
+  // cover of key 80; the entry for 200 is another member's business.
+  auto mn = std::make_shared<MultiNotifyMsg>();
+  mn->entries = {GossipEntry{80, {e, 3, 0, sampled}},
+                 GossipEntry{200, {e, 4, 0, sampled}}};
+  const Key covered[] = {80};
+  node->on_deliver_mcast(covered, mn);
+  EXPECT_EQ(node->misdirected_notifies(), 3u);
+
+  EXPECT_EQ(sink_calls, 0);
+  EXPECT_EQ(node->notifications_received(), 0u);
+  std::size_t drops = 0;
+  for (const metrics::Span& s : traces.spans()) {
+    ASSERT_EQ(s.kind, metrics::SpanKind::kDrop);
+    EXPECT_EQ(s.a,
+              static_cast<std::uint64_t>(metrics::DropReason::kMisdirected));
+    EXPECT_EQ(s.node, 100u);
+    ++drops;
+  }
+  EXPECT_EQ(drops, 2u);  // one per sampled misdirected notification
 }
 
 // ---------------------------------------------------------------------------

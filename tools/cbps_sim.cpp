@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
   std::string transport = "unicast";
   std::string dissemination = "unicast";
   std::int64_t gossip_fanout = 3;
-  std::int64_t gossip_rounds = 0;
   double anti_entropy_s = 10.0;
   double gossip_window_s = 60.0;
   std::int64_t subs = 1000;
@@ -120,8 +119,6 @@ int main(int argc, char** argv) {
              &dissemination);
   parser.add("gossip-fanout", "peers each infected node pushes to",
              &gossip_fanout);
-  parser.add("gossip-rounds", "infect-and-die round budget (0 = auto: "
-             "ceil(log2(group)) + 2)", &gossip_rounds);
   parser.add("anti-entropy-s", "gossip anti-entropy period in seconds "
              "(0 = repair off)", &anti_entropy_s);
   parser.add("gossip-window-s", "gossip repair retention window in seconds",
@@ -241,14 +238,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad --dissemination: %s\n", dissemination.c_str());
     return 1;
   }
-  if (gossip_fanout < 1 || gossip_rounds < 0 || anti_entropy_s < 0.0 ||
-      gossip_window_s <= 0.0) {
-    std::fprintf(stderr, "bad gossip knobs (want fanout >= 1, rounds >= 0, "
+  if (gossip_fanout < 1 || anti_entropy_s < 0.0 || gossip_window_s <= 0.0) {
+    std::fprintf(stderr, "bad gossip knobs (want fanout >= 1, "
                          "anti-entropy >= 0, window > 0)\n");
     return 1;
   }
   cfg.gossip_fanout = static_cast<std::size_t>(gossip_fanout);
-  cfg.gossip_rounds = static_cast<std::uint32_t>(gossip_rounds);
   cfg.anti_entropy_period =
       anti_entropy_s > 0 ? sim::from_seconds(anti_entropy_s) : 0;
   cfg.gossip_window = sim::from_seconds(gossip_window_s);
@@ -405,13 +400,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.duplicates_suppressed));
   }
   if (cfg.dissemination == pubsub::PubSubConfig::Dissemination::kGossip) {
-    std::printf("gossip backend (fanout %zu, %s rounds, anti-entropy "
+    std::printf("gossip backend (fanout %zu, auto rounds, anti-entropy "
                 "%.0fs):\n",
-                cfg.gossip_fanout,
-                cfg.gossip_rounds > 0
-                    ? std::to_string(cfg.gossip_rounds).c_str()
-                    : "auto",
-                anti_entropy_s);
+                cfg.gossip_fanout, anti_entropy_s);
     std::printf("  epidemic pushes sent         %10llu\n",
                 static_cast<unsigned long long>(r.gossip_pushes));
     std::printf("  duplicate records dropped    %10llu\n",
