@@ -8,21 +8,24 @@
 // stabs one bucket per attribute, counts satisfied constraints per
 // subscription, and reports the subscriptions whose entire conjunction
 // is satisfied. Expected cost is proportional to the number of
-// *satisfied constraints*, not the number of subscriptions.
+// *satisfied constraints*, not the number of subscriptions. The index is
+// exact: it reports precisely the subscriptions the brute-force scan
+// (SubscriptionStore's oracle engine) reports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "cbps/common/types.hpp"
-#include "cbps/pubsub/match_index.hpp"
+#include "cbps/pubsub/event.hpp"
 #include "cbps/pubsub/schema.hpp"
 #include "cbps/pubsub/subscription.hpp"
 
 namespace cbps::pubsub {
 
-class CountingIndex final : public MatchIndex {
+class CountingIndex {
  public:
   /// `buckets_per_attribute` trades insertion cost (an interval is
   /// registered in every bucket it overlaps) against stab precision.
@@ -34,21 +37,24 @@ class CountingIndex final : public MatchIndex {
   /// domain can never match; it is registered (so remove() and duplicate
   /// detection behave) but gets no bucket entries — exactly the
   /// brute-force engine's behaviour of never reporting it.
-  bool insert(const SubscriptionPtr& sub) override;
+  bool insert(const SubscriptionPtr& sub);
 
   /// Remove by id. Returns false if unknown.
-  bool remove(SubscriptionId id) override;
+  bool remove(SubscriptionId id);
 
   /// Ids of all registered subscriptions matching `e`, unordered.
   std::vector<SubscriptionId> match(const Event& e) const;
 
+  /// Append the ids of all registered subscriptions matching `e` to
+  /// `out` (unordered, no duplicates). `out` is not cleared.
   void match_into(const Event& e,
-                  std::vector<SubscriptionId>& out) const override;
+                  std::vector<SubscriptionId>& out) const;
 
-  std::size_t size() const override { return subs_.size(); }
+  std::size_t size() const { return subs_.size(); }
 
-  /// Heap footprint of the bucket/scratch structures in bytes.
-  std::size_t memory_bytes() const override;
+  /// Heap footprint of the bucket/scratch structures in bytes (not the
+  /// Subscription objects themselves, which the store owns).
+  std::size_t memory_bytes() const;
 
  private:
   // Entries refer to subscriptions by a dense slot index so match() can

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -18,8 +17,6 @@
 
 #include "cbps/common/types.hpp"
 #include "cbps/pubsub/counting_index.hpp"
-#include "cbps/pubsub/covering_index.hpp"
-#include "cbps/pubsub/match_index.hpp"
 #include "cbps/pubsub/messages.hpp"
 #include "cbps/pubsub/subscription.hpp"
 #include "cbps/sim/time.hpp"
@@ -31,12 +28,10 @@ namespace cbps::pubsub {
 enum class MatchEngine {
   kBruteForce,     // linear scan (simple, the correctness oracle)
   kCountingIndex,  // per-attribute interval buckets (Fabret et al. [6])
-  kCoveringIndex,  // counting index + subscription covering/merging
 };
 
 const char* to_string(MatchEngine engine);
-/// Parse "brute" / "counting" / "covering"; returns std::nullopt on
-/// anything else.
+/// Parse "brute" / "counting"; returns std::nullopt on anything else.
 std::optional<MatchEngine> match_engine_from_string(std::string_view s);
 
 class SubscriptionStore {
@@ -54,42 +49,16 @@ class SubscriptionStore {
   void use_counting_index(const Schema& schema,
                           std::size_t buckets_per_attribute = 256) {
     CBPS_ASSERT_MSG(records_.empty(), "enable the index on an empty store");
-    index_ = std::make_unique<CountingIndex>(schema, buckets_per_attribute);
-    engine_ = MatchEngine::kCountingIndex;
-  }
-
-  /// Switch matching to the covering/merging engine (call before any
-  /// insert).
-  void use_covering_index(const Schema& schema, CoveringOptions opts = {}) {
-    CBPS_ASSERT_MSG(records_.empty(), "enable the index on an empty store");
-    index_ = std::make_unique<CoveringIndex>(schema, opts);
-    engine_ = MatchEngine::kCoveringIndex;
+    index_.emplace(schema, buckets_per_attribute);
   }
 
   /// Install `engine` (no-op for kBruteForce; call before any insert).
   void use_engine(MatchEngine engine, const Schema& schema) {
-    switch (engine) {
-      case MatchEngine::kBruteForce:
-        break;
-      case MatchEngine::kCountingIndex:
-        use_counting_index(schema);
-        break;
-      case MatchEngine::kCoveringIndex:
-        use_covering_index(schema);
-        break;
-    }
+    if (engine == MatchEngine::kCountingIndex) use_counting_index(schema);
   }
 
-  MatchEngine engine() const { return engine_; }
-
-  /// The installed index, or nullptr under brute force.
-  const MatchIndex* match_index() const { return index_.get(); }
-
-  /// Covering/merging statistics (nullptr unless kCoveringIndex).
-  const CoveringIndex* covering_index() const {
-    return engine_ == MatchEngine::kCoveringIndex
-               ? static_cast<const CoveringIndex*>(index_.get())
-               : nullptr;
+  MatchEngine engine() const {
+    return index_ ? MatchEngine::kCountingIndex : MatchEngine::kBruteForce;
   }
 
   /// Heap footprint of the match index in bytes (0 under brute force).
@@ -144,8 +113,7 @@ class SubscriptionStore {
 
   RecordMap records_;
   std::multimap<sim::SimTime, SubscriptionId> expiry_index_;
-  std::unique_ptr<MatchIndex> index_;  // null = brute force
-  MatchEngine engine_ = MatchEngine::kBruteForce;
+  std::optional<CountingIndex> index_;  // empty = brute force
   std::size_t owned_ = 0;
   std::size_t peak_owned_ = 0;
 };

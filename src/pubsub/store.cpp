@@ -12,8 +12,6 @@ const char* to_string(MatchEngine engine) {
       return "brute";
     case MatchEngine::kCountingIndex:
       return "counting";
-    case MatchEngine::kCoveringIndex:
-      return "covering";
   }
   return "?";
 }
@@ -21,7 +19,6 @@ const char* to_string(MatchEngine engine) {
 std::optional<MatchEngine> match_engine_from_string(std::string_view s) {
   if (s == "brute") return MatchEngine::kBruteForce;
   if (s == "counting") return MatchEngine::kCountingIndex;
-  if (s == "covering") return MatchEngine::kCoveringIndex;
   return std::nullopt;
 }
 
@@ -71,8 +68,8 @@ bool SubscriptionStore::insert(const Record& record) {
   }
   // A re-subscription can carry different constraints under the same id
   // (the subscriber upgraded its filter): the index entries and the
-  // stored pointer must follow, or the indexed engines keep matching the
-  // stale constraints and silently diverge from brute force.
+  // stored pointer must follow, or the counting index keeps matching the
+  // stale constraints and silently diverges from brute force.
   if (existing.sub != record.sub) {
     if (index_ && existing.sub->constraints != record.sub->constraints) {
       index_->remove(it->first);

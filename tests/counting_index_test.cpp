@@ -1,15 +1,15 @@
 // Tests for the rendezvous matching engines: counting-index unit
-// behaviour, covering/merging semantics, and differential properties
-// driving every engine against the brute-force oracle.
+// behaviour, engine names, and differential properties driving the
+// counting index against the brute-force oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "cbps/pubsub/counting_index.hpp"
-#include "cbps/pubsub/covering_index.hpp"
 #include "cbps/pubsub/store.hpp"
 #include "cbps/workload/generator.hpp"
 
@@ -144,7 +144,7 @@ TEST(CountingIndexTest, EquivalentToBruteForceOnRandomWorkload) {
 
 // Regression: a constraint range disjoint from the schema domain used to
 // dereference an empty std::optional in CountingIndex::insert. The
-// subscription is unsatisfiable — every engine must hold it inert (never
+// subscription is unsatisfiable — the index must hold it inert (never
 // match, still removable) exactly like brute force never matches it.
 TEST(CountingIndexTest, DomainDisjointConstraintIsInert) {
   const Schema schema({{"t", {0, 999}}, {"u", {0, 999}}});
@@ -156,27 +156,15 @@ TEST(CountingIndexTest, DomainDisjointConstraintIsInert) {
   EXPECT_FALSE(index.insert(make_sub(1, {{0, {2000, 3000}}})));
   EXPECT_TRUE(index.remove(1));
   EXPECT_EQ(index.size(), 0u);
-
-  CoveringIndex covering(schema);
-  EXPECT_TRUE(
-      covering.insert(make_sub(2, {{0, {2000, 3000}}, {1, {0, 999}}})));
-  EXPECT_EQ(covering.inert_count(), 1u);
-  EXPECT_EQ(covering.stored_roots(), 0u);
-  std::vector<SubscriptionId> out;
-  covering.match_into(make_event({500, 500}), out);
-  EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(covering.remove(2));
-  EXPECT_EQ(covering.size(), 0u);
 }
 
 // Regression: a refresh (same id, new constraints) used to leave stale
-// index entries and a stale stored pointer, so the indexed engines kept
+// index entries and a stale stored pointer, so the counting index kept
 // matching the old filter while brute force matched the new one.
 TEST(StoreWithIndexTest, RefreshWithChangedConstraintsReindexes) {
   const Schema schema = Schema::uniform(1, 999);
   for (const MatchEngine engine :
-       {MatchEngine::kBruteForce, MatchEngine::kCountingIndex,
-        MatchEngine::kCoveringIndex}) {
+       {MatchEngine::kBruteForce, MatchEngine::kCountingIndex}) {
     SubscriptionStore store;
     store.use_engine(engine, schema);
     store.insert({make_sub(1, {{0, {0, 100}}}), sim::kSimTimeNever, {},
@@ -195,115 +183,14 @@ TEST(StoreWithIndexTest, RefreshWithChangedConstraintsReindexes) {
   }
 }
 
-TEST(CoveringIndexTest, NarrowerSubscriptionBecomesCoveredChild) {
-  const Schema schema = Schema::uniform(2, 999);
-  CoveringIndex index(schema);
-  EXPECT_TRUE(index.insert(make_sub(1, {{0, {100, 500}}})));
-  EXPECT_TRUE(index.insert(make_sub(2, {{0, {200, 300}}, {1, {0, 10}}})));
-  EXPECT_EQ(index.stored_roots(), 1u);
-  EXPECT_EQ(index.covered_children(), 1u);
-  EXPECT_EQ(index.size(), 2u);
-
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({250, 5}), out);
-  EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
-            (std::set<SubscriptionId>{1, 2}));
-  out.clear();
-  index.match_into(make_event({250, 500}), out);  // outside child's a1
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out.clear();
-  index.match_into(make_event({150, 5}), out);  // outside child's a0
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-}
-
-TEST(CoveringIndexTest, RemovingCovererPromotesChildren) {
-  const Schema schema = Schema::uniform(1, 999);
-  CoveringIndex index(schema);
-  index.insert(make_sub(1, {{0, {0, 500}}}));
-  index.insert(make_sub(2, {{0, {100, 200}}}));
-  index.insert(make_sub(3, {{0, {150, 180}}}));
-  EXPECT_EQ(index.stored_roots(), 1u);
-  EXPECT_EQ(index.covered_children(), 2u);
-
-  EXPECT_TRUE(index.remove(1));
-  EXPECT_EQ(index.size(), 2u);
-  // Children re-admitted: sub 3 is narrower than sub 2, so it re-covers.
-  EXPECT_EQ(index.covered_children(), 1u);
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({160}), out);
-  EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
-            (std::set<SubscriptionId>{2, 3}));
-  out.clear();
-  index.match_into(make_event({400}), out);  // only the removed coverer
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(CoveringIndexTest, OneAttributeShiftMergesUnderUmbrella) {
-  const Schema schema = Schema::uniform(2, 999);
-  CoveringIndex index(schema);
-  // Identical on a1, adjacent on a0: prime merging material.
-  index.insert(make_sub(1, {{0, {100, 199}}, {1, {50, 60}}}));
-  index.insert(make_sub(2, {{0, {200, 299}}, {1, {50, 60}}}));
-  EXPECT_EQ(index.umbrella_count(), 1u);
-  EXPECT_EQ(index.stored_roots(), 1u);  // just the umbrella
-  EXPECT_EQ(index.covered_children(), 2u);
-
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({150, 55}), out);
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out.clear();
-  index.match_into(make_event({250, 55}), out);
-  EXPECT_EQ(out, std::vector<SubscriptionId>{2});
-  out.clear();
-  index.match_into(make_event({150, 70}), out);  // outside both on a1
-  EXPECT_TRUE(out.empty());
-
-  // Removing one member dissolves the umbrella back to a plain root.
-  EXPECT_TRUE(index.remove(1));
-  EXPECT_EQ(index.umbrella_count(), 0u);
-  EXPECT_EQ(index.stored_roots(), 1u);
-  EXPECT_EQ(index.covered_children(), 0u);
-  out.clear();
-  index.match_into(make_event({250, 55}), out);
-  EXPECT_EQ(out, std::vector<SubscriptionId>{2});
-}
-
-TEST(CoveringIndexTest, MergeRespectsFalsePositiveBudget) {
-  const Schema schema = Schema::uniform(1, 999'999);
-  CoveringOptions opts;
-  opts.merge_fp_budget = 0.25;
-  CoveringIndex index(schema, opts);
-  // Far apart: hull [0, 900009] would be ~99.998% uncovered — no merge.
-  index.insert(make_sub(1, {{0, {0, 9}}}));
-  index.insert(make_sub(2, {{0, {900'000, 900'009}}}));
-  EXPECT_EQ(index.umbrella_count(), 0u);
-  EXPECT_EQ(index.stored_roots(), 2u);
-  // Adjacent: zero uncovered hull — merges.
-  index.insert(make_sub(3, {{0, {10, 19}}}));
-  EXPECT_EQ(index.umbrella_count(), 1u);
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({5}), out);
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out.clear();
-  index.match_into(make_event({15}), out);
-  EXPECT_EQ(out, std::vector<SubscriptionId>{3});
-}
-
-TEST(CoveringIndexTest, ReportsMemoryAndSupportsMatchAllRoots) {
-  const Schema schema = Schema::uniform(2, 999);
-  CoveringIndex index(schema);
-  index.insert(make_sub(1, {}));  // matches everything, covers everything
-  index.insert(make_sub(2, {{0, {10, 20}}}));
-  EXPECT_EQ(index.stored_roots(), 1u);
-  EXPECT_EQ(index.covered_children(), 1u);
-  EXPECT_GT(index.memory_bytes(), 0u);
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({15, 0}), out);
-  EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
-            (std::set<SubscriptionId>{1, 2}));
-  out.clear();
-  index.match_into(make_event({500, 0}), out);
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
+TEST(MatchEngineTest, NamesRoundTripAndRejectUnknown) {
+  for (const MatchEngine engine :
+       {MatchEngine::kBruteForce, MatchEngine::kCountingIndex}) {
+    EXPECT_EQ(match_engine_from_string(to_string(engine)), engine);
+  }
+  EXPECT_EQ(match_engine_from_string("covering"), std::nullopt);
+  EXPECT_EQ(match_engine_from_string(""), std::nullopt);
+  EXPECT_EQ(match_engine_from_string("Counting"), std::nullopt);
 }
 
 TEST(StoreWithIndexTest, MatchesLikeBruteForceStore) {
@@ -345,10 +232,11 @@ TEST(StoreWithIndexTest, MatchesLikeBruteForceStore) {
 }
 
 // Differential property: drive random insert / refresh / remove /
-// sweep_expired sequences through all three engines and assert they
-// report identical match sets throughout. Brute force is the oracle;
-// the indexed engines must never diverge from it (this is the test that
-// pins both fixed divergence bugs and the covering engine's exactness).
+// sweep_expired sequences through both engines and assert they report
+// identical match sets throughout. Brute force is the oracle; the
+// counting index must never diverge from it (this is the test that pins
+// both fixed divergence bugs: refresh re-indexing and domain-disjoint
+// constraints).
 TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
   const Schema schema = Schema::uniform(3, 99'999);
   for (const std::uint64_t seed : {11u, 23u, 47u, 101u}) {
@@ -359,10 +247,8 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
 
     SubscriptionStore brute;
     SubscriptionStore counting;
-    SubscriptionStore covering;
     counting.use_counting_index(schema, 64);
-    covering.use_covering_index(schema);
-    SubscriptionStore* stores[] = {&brute, &counting, &covering};
+    SubscriptionStore* stores[] = {&brute, &counting};
 
     std::vector<SubscriptionPtr> live;
     sim::SimTime now = 0;
@@ -412,7 +298,6 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
       } else if (roll < 0.80) {
         const std::size_t swept = brute.sweep_expired(now);
         ASSERT_EQ(counting.sweep_expired(now), swept);
-        ASSERT_EQ(covering.sweep_expired(now), swept);
       }
 
       Event e;
@@ -438,17 +323,9 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
       const auto expected = ids_of(brute.match(e, now));
       ASSERT_EQ(ids_of(counting.match(e, now)), expected)
           << "counting diverged at seed " << seed << " step " << step;
-      ASSERT_EQ(ids_of(covering.match(e, now)), expected)
-          << "covering diverged at seed " << seed << " step " << step;
     }
     // The engines' bookkeeping must agree on the logical population too.
     ASSERT_EQ(brute.size(), counting.size());
-    ASSERT_EQ(brute.size(), covering.size());
-    if (const auto* cov = covering.covering_index()) {
-      ASSERT_EQ(cov->size(),
-                cov->stored_roots() - cov->umbrella_count() +
-                    cov->covered_children() + cov->inert_count());
-    }
   }
 }
 

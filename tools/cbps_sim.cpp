@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
   double buffer_period_s = 5.0;
   std::int64_t replication = 0;
   double ttl_s = 0.0;  // 0 = never expire
-  bool counting_index = false;
   std::string match_engine = "brute";
   bool verify = false;
   std::string save_trace;
@@ -143,11 +142,8 @@ int main(int argc, char** argv) {
              &replication);
   parser.add("ttl-s", "subscription expiration in seconds (0 = never)",
              &ttl_s);
-  parser.add("counting-index", "use the counting matcher at rendezvous "
-             "(shorthand for --match-engine counting)",
-             &counting_index);
   parser.add("match-engine",
-             "rendezvous matching engine: brute | counting | covering",
+             "rendezvous matching engine: brute | counting",
              &match_engine);
   parser.add("verify", "check exactly-once delivery at the end", &verify);
   parser.add("save-trace", "record the workload to this file", &save_trace);
@@ -265,12 +261,11 @@ int main(int argc, char** argv) {
   const auto engine = pubsub::match_engine_from_string(match_engine);
   if (!engine) {
     std::fprintf(stderr,
-                 "bad --match-engine: %s (want brute|counting|covering)\n",
+                 "bad --match-engine: %s (want brute|counting)\n",
                  match_engine.c_str());
     return 1;
   }
-  cfg.match_engine = counting_index ? pubsub::MatchEngine::kCountingIndex
-                                    : *engine;
+  cfg.match_engine = *engine;
   cfg.verify = verify;
   cfg.trace_save_path = save_trace;
   cfg.trace_replay_path = replay_trace;
