@@ -274,7 +274,7 @@ double ratio(std::uint64_t num, std::uint64_t den) {
                   : static_cast<double>(num) / static_cast<double>(den);
 }
 
-Row run(const Scenario& sc, std::size_t sim_threads) {
+Row run(const Scenario& sc) {
   std::string error;
   const auto script = workload::FaultScript::parse(sc.script, &error);
   CBPS_ASSERT_MSG(script.has_value(), "bad scenario script");
@@ -295,7 +295,6 @@ Row run(const Scenario& sc, std::size_t sim_threads) {
     // Retention must hold enough digest rounds to out-wait a loss burst.
     cfg.pubsub.gossip_window = sim::sec(120);
   }
-  cfg.sim_threads = sim_threads;
   pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(3, 99'999));
   system.network().start_maintenance_all();
 
@@ -411,9 +410,7 @@ int main(int argc, char** argv) {
 
   const std::vector<Scenario> scenarios = all_scenarios();
   for (const Scenario& sc : scenarios) {
-    sweep.add(sc.label, [&sc, st = sweep.options().sim_threads] {
-      return run(sc, st);
-    });
+    sweep.add(sc.label, [&sc] { return run(sc); });
   }
 
   std::puts("=== Fault scenarios: delivery under churn, loss and faults ===");

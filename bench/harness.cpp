@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "cbps/common/assert.hpp"
-#include "cbps/sim/parallel_simulator.hpp"
 #include "cbps/workload/driver.hpp"
 #include "cbps/workload/fault_script.hpp"
 #include "cbps/workload/trace.hpp"
@@ -110,7 +109,7 @@ void write_metrics_json(const std::string& path,
     out += "}";
   }
   // Per-rendezvous-key load tables, folded over every node in ring
-  // order (deterministic at any --sim-threads; see KeyLoad).
+  // order (see KeyLoad).
   const pubsub::KeyLoad key_load = system.key_load();
   const std::pair<const char*, const metrics::TopK*> tables[] = {
       {"subs_stored", &key_load.subs_stored},
@@ -144,7 +143,6 @@ void write_metrics_json(const std::string& path,
       {"hot_key_top1_share", r.hot_key_top1_share},
       {"traces_started", static_cast<double>(r.traces_started)},
       {"trace_spans", static_cast<double>(r.trace_spans)},
-      {"sim_threads", static_cast<double>(r.sim_threads)},
       {"sim_stale_entries_skipped",
        static_cast<double>(r.sim_stale_entries_skipped)},
       {"sim_heap_compactions",
@@ -189,15 +187,6 @@ void write_trace_file(const std::string& path, metrics::TraceSink& sink) {
 
 }  // namespace
 
-std::unique_ptr<sim::SimulatorBase> make_engine(std::size_t threads,
-                                                sim::SimTime lookahead) {
-  if (threads > 1 && lookahead > 0) {
-    return std::make_unique<sim::ParallelSimulator>(
-        static_cast<unsigned>(threads), lookahead);
-  }
-  return std::make_unique<sim::Simulator>();
-}
-
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   std::string fs_error;
   const auto fault_script =
@@ -225,7 +214,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   sys_cfg.chord.max_retries = cfg.max_retries;
   sys_cfg.chord.retry_base = cfg.retry_base;
   sys_cfg.chord.force_reliable = fault_script->needs_reliable_transport();
-  sys_cfg.sim_threads = cfg.sim_threads;
   // An output path without an explicit rate means "trace everything".
   sys_cfg.trace_sample_rate = cfg.trace_sample_rate > 0.0
                                   ? cfg.trace_sample_rate
@@ -425,7 +413,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   r.fault_crashes = faults ? faults->crashes() : 0;
 
   r.sim_events = system.sim().events_processed();
-  r.sim_threads = system.sim().thread_count();
   r.sim_stale_entries_skipped = system.sim().stale_entries_skipped();
   r.sim_heap_compactions = system.sim().heap_compactions();
 

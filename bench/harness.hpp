@@ -109,11 +109,6 @@ struct ExperimentConfig {
   /// Period of the time-series sampler. 0 = off, unless
   /// metrics_json_path is set (then it defaults to 1 simulated second).
   sim::SimTime sample_period = 0;
-
-  /// Engine worker threads for each point's simulation. >1 selects the
-  /// epoch-synchronous sharded engine; every metric stays bit-identical
-  /// to 1 (see sim/parallel_simulator.hpp), only wall time changes.
-  std::size_t sim_threads = 1;
 };
 
 struct ExperimentResult {
@@ -199,10 +194,8 @@ struct ExperimentResult {
   // wall time for the simulated-events/sec throughput trajectory).
   std::uint64_t sim_events = 0;
 
-  // Engine health/shape: worker threads the engine actually ran with
-  // (1 = serial, including zero-lookahead fallbacks), lazy-deleted heap
-  // entries skipped at pop, and full heap rebuilds triggered.
-  std::uint64_t sim_threads = 1;
+  // Engine health: lazy-deleted heap entries skipped at pop, and full
+  // heap rebuilds triggered.
   std::uint64_t sim_stale_entries_skipped = 0;
   std::uint64_t sim_heap_compactions = 0;
 };
@@ -210,13 +203,6 @@ struct ExperimentResult {
 /// Run one simulated experiment to completion (all operations issued,
 /// network drained).
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
-
-/// Engine factory for benches that assemble networks by hand: the
-/// sharded parallel engine when threads > 1 and lookahead > 0, the
-/// serial engine otherwise. `lookahead` must be the minimum delay the
-/// bench's latency model can emit.
-std::unique_ptr<sim::SimulatorBase> make_engine(std::size_t threads,
-                                                sim::SimTime lookahead);
 
 /// "attribute-split" -> "M1 attr-split", etc. (row labels).
 std::string mapping_label(pubsub::MappingKind kind);

@@ -73,7 +73,6 @@ struct RunSpec {
   std::uint64_t subscriptions = 5000;
   std::uint64_t publications = 0;
   bool zipf_selective = false;  // one selective attr, Zipf centers
-  std::size_t sim_threads = 1;
 };
 
 Row run(const RunSpec& spec) {
@@ -84,7 +83,6 @@ Row run(const RunSpec& spec) {
   sys_cfg.mapping = spec.mapping;
   sys_cfg.pubsub.sub_transport =
       pubsub::PubSubConfig::Transport::kMulticast;
-  sys_cfg.sim_threads = spec.sim_threads;
   pubsub::PubSubSystem system(sys_cfg,
                               pubsub::Schema::uniform(4, 1'000'000));
 
@@ -169,7 +167,6 @@ int main(int argc, char** argv) {
     spec.zipf_selective = true;
     points.push_back({"zipf/" + mapping_label(m), spec});
   }
-  for (Point& p : points) p.spec.sim_threads = sweep.options().sim_threads;
   for (const Point& p : points) {
     sweep.add(p.label, [spec = p.spec] { return run(spec); });
   }

@@ -28,7 +28,7 @@ struct ProbePayload final : overlay::Payload {
 };
 
 struct CountingApp final : overlay::OverlayApp {
-  explicit CountingApp(sim::SimulatorBase& sim) : sim_(sim) {}
+  explicit CountingApp(sim::Simulator& sim) : sim_(sim) {}
   void on_deliver(Key, const overlay::PayloadPtr&) override { note(); }
   void on_deliver_mcast(std::span<const Key>,
                         const overlay::PayloadPtr&) override {
@@ -42,7 +42,7 @@ struct CountingApp final : overlay::OverlayApp {
     ++deliveries;
     last_delivery = sim_.now();
   }
-  sim::SimulatorBase& sim_;
+  sim::Simulator& sim_;
   std::uint64_t deliveries = 0;
   sim::SimTime last_delivery = 0;
 };
@@ -78,21 +78,19 @@ bench::JsonFields metrics_fields(const Outcome& o) {
 
 enum class Mode { kMcast, kAggressiveUnicast, kChain };
 
-Outcome run(Mode mode, std::uint64_t range_keys, std::size_t sim_threads,
-            std::size_t n = 500) {
-  // Default wire: fixed 50 ms each way — the engine lookahead.
-  const auto sim = bench::make_engine(sim_threads, sim::ms(50));
+Outcome run(Mode mode, std::uint64_t range_keys, std::size_t n = 500) {
+  sim::Simulator sim;
   ChordConfig cfg;
   cfg.location_cache_size = 0;  // isolate the primitives from caching
   cfg.owner_feedback = false;
-  ChordNetwork net(*sim, cfg, 99);
+  ChordNetwork net(sim, cfg, 99);
   for (std::size_t i = 0; i < n; ++i) {
     net.add_node("node-" + std::to_string(i));
   }
   net.build_static_ring();
   std::vector<std::unique_ptr<CountingApp>> apps;
   for (Key id : net.alive_ids()) {
-    apps.push_back(std::make_unique<CountingApp>(*sim));
+    apps.push_back(std::make_unique<CountingApp>(sim));
     net.node(id)->set_app(apps.back().get());
   }
 
@@ -104,7 +102,7 @@ Outcome run(Mode mode, std::uint64_t range_keys, std::size_t sim_threads,
 
   ChordNode& src = net.alive_node(n / 2);
   const auto payload = std::make_shared<ProbePayload>();
-  const sim::SimTime start = sim->now();
+  const sim::SimTime start = sim.now();
   switch (mode) {
     case Mode::kMcast:
       src.m_cast(keys, payload);
@@ -116,7 +114,7 @@ Outcome run(Mode mode, std::uint64_t range_keys, std::size_t sim_threads,
       src.chain_cast(keys, payload);
       break;
   }
-  sim->run();
+  sim.run();
 
   Outcome out;
   out.hops = net.traffic().hops(overlay::MessageClass::kPublish);
@@ -134,7 +132,7 @@ Outcome run(Mode mode, std::uint64_t range_keys, std::size_t sim_threads,
   out.hops_p99 = reg.histogram("chord.route_hops").p99();
   out.fanout_p50 = reg.histogram("chord.mcast_fanout").p50();
   out.fanout_p99 = reg.histogram("chord.mcast_fanout").p99();
-  out.sim_events = sim->events_processed();
+  out.sim_events = sim.events_processed();
   return out;
 }
 
@@ -163,9 +161,7 @@ int main(int argc, char** argv) {
     for (const Mode mode : modes) {
       sweep.add(std::string(mode_label(mode)) + "/range=" +
                     std::to_string(range),
-                [mode, range, st = sweep.options().sim_threads] {
-                  return run(mode, range, st);
-                });
+                [mode, range] { return run(mode, range); });
     }
   }
 

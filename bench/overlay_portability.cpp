@@ -50,7 +50,7 @@ bench::JsonFields metrics_fields(const Result& r) {
 
 // Drive the identical workload over any pair of (nodes, traffic stats).
 template <typename MakeNode>
-Result drive(sim::SimulatorBase& sim, const std::vector<Key>& ids,
+Result drive(sim::Simulator& sim, const std::vector<Key>& ids,
              MakeNode&& node_of, overlay::TrafficStats& traffic,
              pubsub::MappingKind kind,
              pubsub::PubSubConfig::Transport transport) {
@@ -122,10 +122,8 @@ Result drive(sim::SimulatorBase& sim, const std::vector<Key>& ids,
 }
 
 Result run_chord(pubsub::MappingKind kind,
-                 pubsub::PubSubConfig::Transport transport,
-                 std::size_t sim_threads) {
-  const auto sim_ptr = bench::make_engine(sim_threads, sim::ms(50));
-  sim::SimulatorBase& sim = *sim_ptr;
+                 pubsub::PubSubConfig::Transport transport) {
+  sim::Simulator sim;
   chord::ChordConfig cfg;
   chord::ChordNetwork net(sim, cfg, 11);
   for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));
@@ -141,10 +139,8 @@ Result run_chord(pubsub::MappingKind kind,
 }
 
 Result run_pastry(pubsub::MappingKind kind,
-                  pubsub::PubSubConfig::Transport transport,
-                  std::size_t sim_threads) {
-  const auto sim_ptr = bench::make_engine(sim_threads, sim::ms(50));
-  sim::SimulatorBase& sim = *sim_ptr;
+                  pubsub::PubSubConfig::Transport transport) {
+  sim::Simulator sim;
   pastry::PastryConfig cfg;
   pastry::PastryNetwork net(sim, cfg, 11);
   for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));
@@ -185,9 +181,9 @@ int main(int argc, char** argv) {
         c.transport == Transport::kUnicast ? "unicast" : "m-cast";
     for (std::size_t o = 0; o < std::size(overlays); ++o) {
       sweep.add(std::string(c.label) + "/" + tname + "/" + overlays[o],
-                [&c, o, st = sweep.options().sim_threads] {
-                  return o == 0 ? run_chord(c.kind, c.transport, st)
-                                : run_pastry(c.kind, c.transport, st);
+                [&c, o] {
+                  return o == 0 ? run_chord(c.kind, c.transport)
+                                : run_pastry(c.kind, c.transport);
                 });
     }
   }

@@ -47,10 +47,8 @@ struct NullApp final : overlay::OverlayApp {
 };
 
 Row run(std::size_t cache_size, bool feedback, std::size_t n,
-        std::size_t messages, std::size_t sim_threads,
-        std::size_t warmup = 0) {
-  const auto sim_ptr = bench::make_engine(sim_threads, sim::ms(50));
-  sim::SimulatorBase& sim = *sim_ptr;
+        std::size_t messages, std::size_t warmup = 0) {
+  sim::Simulator sim;
   ChordConfig cfg;
   cfg.location_cache_size = cache_size;
   cfg.owner_feedback = feedback;
@@ -94,16 +92,15 @@ int main(int argc, char** argv) {
   bench::Sweep<Row> sweep("route_cache_ablation");
   if (!sweep.parse_args(argc, argv)) return 1;
 
-  const std::size_t st = sweep.options().sim_threads;
-  sweep.add("no cache", [st] { return run(0, false, 500, 5000, st); });
+  sweep.add("no cache", [] { return run(0, false, 500, 5000); });
   sweep.add("passive cache (128 entries)",
-            [st] { return run(128, false, 500, 5000, st); });
+            [] { return run(128, false, 500, 5000); });
   sweep.add("passive + owner feedback",
-            [st] { return run(128, true, 500, 5000, st); });
+            [] { return run(128, true, 500, 5000); });
   sweep.add("large cache (512) + feedback",
-            [st] { return run(512, true, 500, 5000, st); });
+            [] { return run(512, true, 500, 5000); });
   sweep.add("warmed 512-cache (100k warm-up)",
-            [st] { return run(512, true, 500, 20000, st, 100000); });
+            [] { return run(512, true, 500, 20000, 100000); });
 
   std::puts("=== Route-cache ablation: avg hops per unicast, n=500 ===");
   std::puts("5000 random routes from random sources (paper §5.1: ~2.5 hops");

@@ -9,23 +9,16 @@
 //                timer pattern from the reliability layer)
 //   timers       K periodic timers ticking concurrently (stabilize /
 //                retry backoff maintenance load)
-//   shard/tN     the fire chains again, but one actor domain per chain
-//                through the epoch-synchronous sharded engine at N
-//                worker threads — the serial-vs-parallel scaling row
-//                (--sim-threads N adds shard/t1 and shard/tN)
 //
 // Prints events/sec per workload and, with --json, appends a bench
 // record in the same shape the sweep runner emits (see EXPERIMENTS.md).
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cbps/common/exec_context.hpp"
 #include "cbps/common/flags.hpp"
-#include "cbps/sim/parallel_simulator.hpp"
 #include "cbps/sim/simulator.hpp"
 
 using namespace cbps;
@@ -117,69 +110,19 @@ Row run_timers(std::uint64_t total_events, std::size_t width) {
   return r;
 }
 
-Row run_shards(std::uint64_t total_events, std::size_t width,
-               std::size_t threads) {
-  // The `fire` chains again, but each chain lives on its own actor
-  // domain so the sharded engine spreads them across worker threads.
-  // The processed-event count and final simulated time are identical at
-  // any thread count; only wall time changes.
-  std::unique_ptr<sim::SimulatorBase> sim_ptr;
-  if (threads > 1) {
-    sim_ptr = std::make_unique<sim::ParallelSimulator>(
-        static_cast<unsigned>(threads), sim::ms(50));
-  } else {
-    sim_ptr = std::make_unique<sim::Simulator>();
-  }
-  sim::SimulatorBase& sim = *sim_ptr;
-  struct Chain {
-    sim::SimulatorBase& sim;
-    common::Domain domain = common::kGlobalDomain;
-    std::uint64_t budget = 0;
-    void arm() {
-      if (budget == 0) return;
-      --budget;
-      // Key + place the successor on this chain's shard.
-      const common::ActorScope as(domain);
-      sim.schedule_after(sim::us(7), [this] { arm(); });
-    }
-  };
-  std::vector<Chain> chains(width, Chain{sim});
-  for (auto& c : chains) c.domain = sim.register_domain();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& c : chains) {
-    c.budget = total_events / width;
-    c.arm();
-  }
-  sim.run();
-  Row r{"shard/t" + std::to_string(threads), sim.events_processed(),
-        seconds_since(t0), 0};
-  r.events_per_sec = static_cast<double>(r.events) / r.wall_s;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::int64_t events = 2'000'000;
   std::int64_t width = 1024;
-  std::int64_t sim_threads = 1;
   std::string json_path;
   FlagParser parser(
       "sim_core — discrete-event scheduler microbench (events/sec through\n"
       "the schedule/fire/cancel hot path; no pub/sub logic involved).");
   parser.add("events", "events to process per workload", &events);
   parser.add("width", "concurrently pending events / timers", &width);
-  parser.add("sim-threads",
-             "sharded-engine worker threads for the shard workload "
-             "(> 1 adds a shard/t1 baseline and a shard/tN row)",
-             &sim_threads);
   parser.add("json", "append a bench record to this JSON file", &json_path);
   if (!parser.parse(argc, argv, std::cout, std::cerr)) return 1;
-  if (sim_threads < 1) {
-    std::fprintf(stderr, "bad --sim-threads: %lld\n",
-                 static_cast<long long>(sim_threads));
-    return 1;
-  }
 
   std::puts("=== sim_core: scheduler hot-path events/sec ===");
   std::printf("%-8s %12s %10s %14s\n", "workload", "events", "wall s",
@@ -192,13 +135,6 @@ int main(int argc, char** argv) {
                             static_cast<std::size_t>(width)));
   rows.push_back(run_timers(static_cast<std::uint64_t>(events),
                             static_cast<std::size_t>(width)));
-  rows.push_back(run_shards(static_cast<std::uint64_t>(events),
-                            static_cast<std::size_t>(width), 1));
-  if (sim_threads > 1) {
-    rows.push_back(run_shards(static_cast<std::uint64_t>(events),
-                              static_cast<std::size_t>(width),
-                              static_cast<std::size_t>(sim_threads)));
-  }
   for (const Row& r : rows) {
     std::printf("%-8s %12llu %10.3f %14.0f\n", r.label.c_str(),
                 static_cast<unsigned long long>(r.events), r.wall_s,

@@ -47,7 +47,7 @@ class ChordNetwork final
     : public overlay::NetworkCore<ChordNetwork, ChordNode, ChordConfig,
                                   HotStats> {
  public:
-  ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg, std::uint64_t seed,
+  ChordNetwork(sim::Simulator& sim, ChordConfig cfg, std::uint64_t seed,
                std::unique_ptr<sim::LatencyModel> latency = nullptr);
   ~ChordNetwork();
 
@@ -95,7 +95,7 @@ class ChordNetwork final
   /// The model is a *prototype*: every node keeps its own clone as its
   /// sender-side channel, drawn from its own loss RNG stream, so loss
   /// decisions are a function of the sender's transmission history alone
-  /// — independent of the engine's shard count. Installing and later
+  /// — independent of other senders' traffic. Installing and later
   /// removing a model never perturbs latency or topology sampling.
   void set_loss_model(std::unique_ptr<sim::LossModel> model);
   sim::LossModel* loss_model() { return loss_.get(); }

@@ -29,8 +29,7 @@ class ChordNode final : public overlay::OverlayNode {
   /// `domain` is this node's scheduling domain, registered with the
   /// engine by ChordNetwork when the node is created. Every self-owned
   /// event the node schedules (retransmit timers, maintenance) is keyed
-  /// by — and, under the parallel engine, placed on the shard of — this
-  /// domain.
+  /// by this domain.
   ChordNode(ChordNetwork& net, Key id, std::string name,
             common::Domain domain);
 

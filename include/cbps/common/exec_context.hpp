@@ -1,19 +1,18 @@
-// Thread-local execution context shared by the simulation engines and
+// Thread-local execution context shared by the simulation engine and
 // the metrics layer.
 //
-// Both engines (serial and sharded-parallel) publish, for the event
-// callback currently running on this thread:
+// The engine publishes, for the event callback currently running on
+// this thread:
 //   - the simulated time of the event,
 //   - the *acting domain* (who is doing the scheduling — used to
-//     attribute canonical event keys, see event_core.hpp),
+//     attribute canonical event keys, see event_core.hpp), and
 //   - the canonical key of the event itself plus a per-event emission
-//     counter (the deterministic sort key for trace spans), and
-//   - the metrics stripe (0 for the serial engine and for barrier /
-//     global-context execution, shard index + 1 inside a parallel
-//     worker) that lock-free striped statistics index with.
+//     counter (the deterministic sort key for trace spans).
 //
-// Keeping this in common/ lets metrics code read the stripe without a
-// dependency on the sim layer, and sim code stays the only writer.
+// Keeping this in common/ lets metrics code read the event key without
+// a dependency on the sim layer, and sim code stays the only writer.
+// Thread-local so concurrent sweep workers (--jobs) each run their own
+// simulation with their own context.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +31,6 @@ struct ExecContext {
   Domain actor_domain = 0;       // who schedules / draws randomness
   std::uint64_t event_key = 0;   // canonical key of the running event
   std::uint32_t emit_seq = 0;    // per-event trace-span emission counter
-  std::uint32_t stripe = 0;      // metrics stripe (0 = serial/global)
 };
 
 inline ExecContext& exec_context() {
@@ -42,10 +40,10 @@ inline ExecContext& exec_context() {
 
 /// RAII actor switch: node code wraps scheduling of *self-owned* events
 /// (periodic timers, retransmit timers, buffer flushes) in an
-/// ActorScope(my_domain) so the event is keyed by — and placed on the
-/// shard of — its owner even when the node's code happens to run inside
-/// a global-context callback (e.g. a subscribe issued by the driver).
-/// This is what makes every cancel() a same-shard operation.
+/// ActorScope(my_domain) so the event is keyed by its owner even when
+/// the node's code happens to run inside a global-context callback
+/// (e.g. a subscribe issued by the driver). The keys, and so the tie
+/// order of equal-time events, then depend only on the owner's history.
 class ActorScope {
  public:
   explicit ActorScope(Domain d) : saved_(exec_context().actor_domain) {

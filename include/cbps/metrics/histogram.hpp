@@ -6,18 +6,9 @@
 // Deterministic by construction: bucket indices come from exact floating-
 // point decomposition (no libm), so two runs that record the same values
 // in any order produce bit-identical bucket arrays and percentiles.
-// Concurrency: add() is lock-free (relaxed atomics) so registry
-// histograms on message hot paths can be fed from the parallel engine's
-// shard workers. Determinism is preserved because every recorded
-// quantity is integer-valued where cross-shard sharing occurs: bucket
-// counts and count are exact sums, the double sum of integers is exact
-// in IEEE754 (and therefore order-independent), and min/max are
-// order-independent by definition. Readers (percentile/merge/print) run
-// after an engine barrier.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -37,22 +28,15 @@ class Histogram {
   static constexpr std::size_t kBucketCount =
       static_cast<std::size_t>(kMaxExp - kMinExp + 1) * kSubBuckets + 1;
 
-  Histogram() = default;
-  Histogram(const Histogram& o) { *this = o; }
-  Histogram& operator=(const Histogram& o);
-
   void add(double v, std::uint64_t weight = 1);
 
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
   double mean() const {
-    const std::uint64_t n = count();
-    return n ? sum() / static_cast<double>(n) : 0.0;
+    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
   }
-  double min() const { return count() ? min_.load(std::memory_order_relaxed) : 0.0; }
-  double max() const { return count() ? max_.load(std::memory_order_relaxed) : 0.0; }
+  double min() const { return count_ ? min_ : 0.0; }
+  double max() const { return count_ ? max_ : 0.0; }
 
   /// Value at percentile p in [0, 100]: the representative (midpoint) of
   /// the bucket holding the rank-ceil(p/100*count) observation, clamped
@@ -69,29 +53,22 @@ class Histogram {
   /// One-line summary: count/mean/p50/p90/p99/max.
   void print(std::ostream& os) const;
 
-  /// Snapshot of the bucket counts (atomics are not comparable/copyable
-  /// in place; callers compare and index the returned value).
-  std::array<std::uint64_t, kBucketCount> buckets() const {
-    std::array<std::uint64_t, kBucketCount> out;
-    for (std::size_t i = 0; i < kBucketCount; ++i) out[i] = bucket(i);
-    return out;
+  const std::array<std::uint64_t, kBucketCount>& buckets() const {
+    return buckets_;
   }
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
 
   static std::size_t bucket_index(double v);
   /// Midpoint of the value range bucket `i` covers (0 for bucket 0).
   static double bucket_mid(std::size_t i);
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  // +/- infinity sentinels instead of a count==0 special case: the
-  // CAS-min/max loops in add() then need no initialization ordering.
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+  std::array<std::uint64_t, kBucketCount> buckets_{};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  // +/- infinity sentinels instead of a count==0 special case in add().
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace cbps::metrics

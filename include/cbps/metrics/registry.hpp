@@ -6,7 +6,6 @@
 // concurrently-constructed simulations never share state.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -17,30 +16,14 @@
 
 namespace cbps::metrics {
 
-// Lock-free under the parallel simulation engine: counters on hot paths
-// are incremented concurrently from shard workers. Relaxed ordering is
-// enough — integer sums are order-independent, so totals stay
-// bit-identical across engines and shard counts; the engine's epoch
-// barriers provide the happens-before for anyone reading totals.
 class Counter {
  public:
-  Counter() = default;
-  Counter(const Counter& o) : value_(o.value()) {}
-  Counter& operator=(const Counter& o) {
-    value_.store(o.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void inc(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) { value_ += n; }
+  std::uint64_t value() const { return value_; }
+  void reset() { value_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 class Registry {

@@ -20,8 +20,8 @@
 //   * merge() is a union-sum with NO eviction — it is associative and
 //     commutative, so folding per-node sketches is invariant under the
 //     fold order (only top() truncates). A fold accumulator therefore
-//     grows to at most (#shards x capacity) entries, which is the price
-//     of permutation invariance.
+//     grows to at most (#sketches x capacity) entries, which is the
+//     price of permutation invariance.
 #pragma once
 
 #include <cstdint>

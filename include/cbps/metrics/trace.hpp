@@ -6,17 +6,12 @@
 // deterministic credit accumulator (no RNG draw), so enabling tracing
 // does not perturb the simulation's random streams.
 //
-// Under the parallel engine, spans are emitted concurrently from shard
-// workers. Each execution stripe (see common::ExecContext) appends to
-// its own buffer with a stripe-tagged provisional span id, and every
-// record carries the canonical sort key of the emitting event
+// Every record carries the canonical sort key of the emitting event
 // (sim time, event key, per-event emission index). finalize() — run
-// lazily by the first reader, always after the engine has stopped —
-// sorts all stripes by that key, renumbers span ids 1..n in sorted
-// order, and remaps parent references. Because the canonical event key
-// is engine-invariant, the finalized trace is bit-identical across the
-// serial engine and any shard count (and, for the serial engine, equals
-// the seed emission order exactly).
+// lazily by the first reader, after the run — sorts the spans by that
+// key, renumbers span ids 1..n in sorted order, and remaps parent
+// references. Spans emitted outside an event callback (key 0) sort
+// ahead of the spans of the last event at their time.
 //
 // The trace context (trace id + parent span id) rides in two places:
 //  * `Payload::trace` — set once by the pub/sub layer before the payload
@@ -102,15 +97,12 @@ class TraceSink {
   double sample_rate() const { return sample_rate_; }
 
   /// Called at a root operation. Returns a fresh trace id, or 0 when
-  /// this root is not sampled. Global-context only (stripe 0): roots are
-  /// started by drivers and application entry points, never from shard
-  /// workers, so the trace-id sequence needs no synchronization.
+  /// this root is not sampled.
   std::uint64_t maybe_start_trace();
 
   /// Record a span in trace `t` (no-op returning 0 when !t.sampled()).
   /// Returns a provisional span id to parent children on; ids are
-  /// renumbered deterministically at finalize(). Safe to call
-  /// concurrently from distinct execution stripes.
+  /// renumbered deterministically at finalize().
   std::uint64_t emit(const TraceRef& t, SpanKind kind, std::uint64_t node,
                      std::uint64_t start_us, std::uint64_t end_us,
                      std::uint64_t a = 0, std::uint64_t b = 0);
@@ -123,8 +115,7 @@ class TraceSink {
   }
   std::uint64_t traces_started() const { return next_trace_ - 1; }
   /// Spans discarded after the in-memory cap was hit.
-  std::uint64_t spans_dropped() const;
-  /// Per-stripe cap; a run that stays under it is engine-invariant.
+  std::uint64_t spans_dropped() const { return dropped_; }
   void set_max_spans(std::size_t cap) { max_spans_ = cap; }
 
   /// One span per line: {"span":..,"trace":..,"parent":..,"kind":"..",...}
@@ -134,22 +125,11 @@ class TraceSink {
   void write_chrome_trace(std::ostream& os);
 
  private:
-  // Stripe 0 (serial / global context) + up to 63 shard cores.
-  static constexpr std::size_t kMaxStripes = 64;
-
   struct Rec {
     Span span;
     std::uint64_t time = 0;      // sim time of the emitting event
     std::uint64_t event_key = 0; // canonical key of the emitting event
     std::uint32_t emit_seq = 0;  // emission index within that event
-  };
-  // Cache-line separated so concurrent appends from shard workers do
-  // not false-share; each stripe is written by exactly one thread
-  // between engine barriers.
-  struct alignas(64) Stripe {
-    std::vector<Rec> recs;
-    std::uint64_t next_local = 1;
-    std::uint64_t dropped = 0;
   };
 
   void finalize();
@@ -159,7 +139,9 @@ class TraceSink {
   std::uint64_t next_trace_ = 1;
   std::size_t max_spans_ = 1u << 22;  // ~4M spans ≈ 300 MB worst case
   bool finalized_ = false;
-  std::vector<Stripe> stripes_;
+  std::uint64_t dropped_ = 0;
+  // Append order; a span's provisional id is its index + 1.
+  std::vector<Rec> recs_;
   std::vector<Span> final_;
 };
 

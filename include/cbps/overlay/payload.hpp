@@ -10,9 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <vector>
 
-#include "cbps/common/exec_context.hpp"
 #include "cbps/common/rng.hpp"
 #include "cbps/metrics/trace.hpp"
 
@@ -63,36 +61,27 @@ using PayloadPtr = std::shared_ptr<const Payload>;
 ///
 /// A "hop" is one node-to-node message transmission (the unit all the
 /// paper's network figures are expressed in). Self-deliveries are free.
-///
-/// Striped for the parallel engine: every recording method writes a
-/// per-execution-stripe block (one writer per stripe between engine
-/// barriers — no atomics needed), and readers fold the stripes in fixed
-/// stripe order. Totals stay bit-identical across engines and shard
-/// counts because everything recorded is integer-valued: counts are
-/// exact sums, and RunningStat's moments are sums of (squares of) small
-/// integers, exact in IEEE754 and thus order-independent.
 class TrafficStats {
  public:
-  void record_hop(MessageClass cls) { ++block().hops[index(cls)]; }
+  void record_hop(MessageClass cls) { ++hops_[index(cls)]; }
   void record_hop(MessageClass cls, std::size_t payload_bytes) {
-    Block& b = block();
-    ++b.hops[index(cls)];
-    b.bytes[index(cls)] += payload_bytes + kHeaderBytes;
+    ++hops_[index(cls)];
+    bytes_[index(cls)] += payload_bytes + kHeaderBytes;
   }
-  void record_delivery(MessageClass cls) {
-    ++block().deliveries[index(cls)];
-  }
+  void record_delivery(MessageClass cls) { ++deliveries_[index(cls)]; }
 
   /// Approximate bytes transmitted, per class (payload + per-message
   /// header).
-  std::uint64_t bytes(MessageClass cls) const;
+  std::uint64_t bytes(MessageClass cls) const { return bytes_[index(cls)]; }
   std::uint64_t total_bytes() const;
 
   /// Fixed per-message envelope overhead assumed by the accounting.
   static constexpr std::size_t kHeaderBytes = 48;
 
-  std::uint64_t hops(MessageClass cls) const;
-  std::uint64_t deliveries(MessageClass cls) const;
+  std::uint64_t hops(MessageClass cls) const { return hops_[index(cls)]; }
+  std::uint64_t deliveries(MessageClass cls) const {
+    return deliveries_[index(cls)];
+  }
 
   std::uint64_t total_hops() const;
 
@@ -106,32 +95,24 @@ class TrafficStats {
   /// (feeds the "average hops per message" summaries, e.g. the ~2.5-hop
   /// observation in §5.1).
   void record_route_complete(MessageClass cls, std::uint32_t hops) {
-    block().route_hops[index(cls)].add(static_cast<double>(hops));
+    route_hops_[index(cls)].add(static_cast<double>(hops));
   }
 
-  /// Stripe-merged summary (by value: the per-stripe parts are folded
-  /// on each call).
-  RunningStat route_hops(MessageClass cls) const;
+  const RunningStat& route_hops(MessageClass cls) const {
+    return route_hops_[index(cls)];
+  }
 
-  void reset();
+  void reset() { *this = TrafficStats{}; }
 
  private:
-  // Stripe 0 (serial / global context) + up to 63 shard cores.
-  static constexpr std::size_t kStripes = 64;
-
-  struct alignas(64) Block {
-    std::array<std::uint64_t, kMessageClassCount> hops{};
-    std::array<std::uint64_t, kMessageClassCount> deliveries{};
-    std::array<std::uint64_t, kMessageClassCount> bytes{};
-    std::array<RunningStat, kMessageClassCount> route_hops{};
-  };
-
   static std::size_t index(MessageClass cls) {
     return static_cast<std::size_t>(cls);
   }
-  Block& block() { return blocks_[common::exec_context().stripe]; }
 
-  std::vector<Block> blocks_ = std::vector<Block>(kStripes);
+  std::array<std::uint64_t, kMessageClassCount> hops_{};
+  std::array<std::uint64_t, kMessageClassCount> deliveries_{};
+  std::array<std::uint64_t, kMessageClassCount> bytes_{};
+  std::array<RunningStat, kMessageClassCount> route_hops_{};
 };
 
 }  // namespace cbps::overlay

@@ -152,8 +152,8 @@ class ReliableLink {
   /// false to have the link count a failed send.
   using DeadPeerFn = std::function<bool(Key dead, Msg msg)>;
 
-  /// Retry timers are scheduled under the owning node's `domain`, so the
-  /// cancel on ack is a same-shard operation.
+  /// Retry timers are scheduled under the owning node's `domain`, so
+  /// they are keyed by the node's own event history.
   ReliableLink(Net& net, Key self, common::Domain domain,
                const LinkStats& stats, LinkParams params,
                DeadPeerFn on_dead_peer)
@@ -241,8 +241,8 @@ class ReliableLink {
 
   sim::Simulator::EventId schedule_retry(std::uint64_t seq,
                                          sim::SimTime timeout) {
-    // Keyed by (and sharded with) the node even when the send was issued
-    // from a driver's global-context callback.
+    // Keyed by the node even when the send was issued from a driver's
+    // global-context callback.
     const common::ActorScope as(domain_);
     return sim_.schedule_after(timeout, [this, seq] { retransmit(seq); });
   }
@@ -299,7 +299,7 @@ class ReliableLink {
   }
 
   Net& net_;
-  sim::SimulatorBase& sim_;
+  sim::Simulator& sim_;
   Key self_;
   common::Domain domain_;
   LinkStats stats_;

@@ -141,11 +141,9 @@ struct OverlayStats {
 /// decisions from its own RNG streams (seeded from the run seed and the
 /// node id) and owns a clone of the loss-model prototype. This makes
 /// every wire draw a pure function of the sender's own transmission
-/// history, which is what lets the parallel engine transmit from many
-/// shards concurrently while staying bit-identical to the serial run:
-/// a single shared stream would be consumed in wall-clock order. The
-/// streams do not depend on registration order or engine choice, and
-/// the loss stream is dedicated, so enabling loss never perturbs latency.
+/// history: traffic on one node never shifts another node's draws. The
+/// streams do not depend on registration order, and the loss stream is
+/// dedicated, so enabling loss never perturbs latency.
 struct WireState {
   /// `loss_prototype` null = lossless channel.
   WireState(common::Domain domain, std::uint64_t seed, Key id,
@@ -243,7 +241,7 @@ class NetworkCore {
     sim_.schedule_after(0, std::move(action));
   }
 
-  sim::SimulatorBase& sim() { return sim_; }
+  sim::Simulator& sim() { return sim_; }
   TrafficStats& traffic() { return traffic_; }
   const TrafficStats& traffic() const { return traffic_; }
   metrics::Registry& registry() { return registry_; }
@@ -262,7 +260,7 @@ class NetworkCore {
  protected:
   /// A non-zero `cfg.loss_rate` installs uniform loss; null `latency`
   /// means sim::default_latency().
-  NetworkCore(sim::SimulatorBase& sim, Config cfg, std::uint64_t seed,
+  NetworkCore(sim::Simulator& sim, Config cfg, std::uint64_t seed,
               std::unique_ptr<sim::LatencyModel> latency,
               std::string_view prefix)
       : sim_(sim),
@@ -281,7 +279,7 @@ class NetworkCore {
     for (auto& [_, n] : nodes_) n->cancel_pending_sends();
   }
 
-  sim::SimulatorBase& sim_;
+  sim::Simulator& sim_;
   Config cfg_;
   std::uint64_t seed_;
   std::unique_ptr<sim::LatencyModel> latency_;

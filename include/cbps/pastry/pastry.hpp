@@ -164,7 +164,7 @@ class PastryNetwork final
     : public overlay::NetworkCore<PastryNetwork, PastryNode, PastryConfig,
                                   overlay::OverlayStats> {
  public:
-  PastryNetwork(sim::SimulatorBase& sim, PastryConfig cfg,
+  PastryNetwork(sim::Simulator& sim, PastryConfig cfg,
                 std::uint64_t seed,
                 std::unique_ptr<sim::LatencyModel> latency = nullptr);
 

@@ -59,9 +59,9 @@ struct PubSubConfig {
   /// pruned from the seen cache and can no longer be pulled.
   sim::SimTime gossip_window = sim::sec(60);
   /// Base seed of the per-node gossip RNG streams (each node derives an
-  /// independent stream from this and its own overlay id, so runs stay
-  /// bit-identical across engine shard counts). PubSubSystem sets it
-  /// from the system seed.
+  /// independent stream from this and its own overlay id, so one node's
+  /// gossip never shifts another's draws). PubSubSystem sets it from the
+  /// system seed.
   std::uint64_t gossip_seed = 0x9e3779b97f4a7c15ull;
 
   /// Buffer matched notifications and send them in periodic per-
@@ -100,9 +100,8 @@ struct PubSubConfig {
 };
 
 /// Per-rendezvous-key load attribution: one sketch set per node, updated
-/// only from that node's own events (which execute in identical
-/// canonical order at any engine shard count), so each node's sketches
-/// are bit-identical across --sim-threads. PubSubSystem::key_load()
+/// only from that node's own events, which execute in canonical
+/// (time, key) order. PubSubSystem::key_load()
 /// folds them in ring (canonical domain) order; TopK::merge is
 /// permutation-invariant, so the folded table is deterministic too.
 struct KeyLoad {
@@ -136,7 +135,7 @@ class PubSubNode final : public overlay::OverlayApp {
   using NotifySink =
       std::function<void(Key subscriber, const Notification&)>;
 
-  PubSubNode(overlay::OverlayNode& overlay, sim::SimulatorBase& sim,
+  PubSubNode(overlay::OverlayNode& overlay, sim::Simulator& sim,
              const AkMapping& mapping, PubSubConfig cfg);
   ~PubSubNode() override;
 
@@ -366,7 +365,7 @@ class PubSubNode final : public overlay::OverlayApp {
   bool agent_toward_successor(const KeyRange& r) const;
 
   overlay::OverlayNode& overlay_;
-  sim::SimulatorBase& sim_;
+  sim::Simulator& sim_;
   const AkMapping& mapping_;
   PubSubConfig cfg_;
 

@@ -31,11 +31,8 @@ struct SystemConfig {
   /// Fraction of publish/subscribe roots that start a causal trace
   /// (0 = tracing off; the sink is then never even allocated).
   double trace_sample_rate = 0.0;
-  /// Engine worker threads. >1 selects the epoch-synchronous sharded
-  /// engine (sim::ParallelSimulator) with the latency model's min_delay
-  /// as conservative lookahead; results are bit-identical to 1. Falls
-  /// back to the serial engine (with a logged warning) when the latency
-  /// model can emit zero delay — there is then no usable lookahead.
+  /// Must be 1: the simulator is single-threaded. Kept only because the
+  /// standalone perfbench build sets it; PubSubSystem asserts the value.
   std::size_t sim_threads = 1;
 };
 
@@ -113,12 +110,12 @@ class PubSubSystem {
   void set_notify_sink(NotifySink sink);
 
   // --- execution ------------------------------------------------------------
-  sim::SimulatorBase& sim() { return *sim_; }
+  sim::Simulator& sim() { return sim_; }
   /// Advance simulated time by `d`, processing all due events.
-  void run_for(sim::SimTime d) { sim_->run_until(sim_->now() + d); }
+  void run_for(sim::SimTime d) { sim_.run_until(sim_.now() + d); }
   /// Drain every pending event (terminates: no periodic idle timers are
   /// armed unless Chord maintenance is on).
-  void quiesce() { sim_->run(); }
+  void quiesce() { sim_.run(); }
 
   // --- measurements -----------------------------------------------------------
   overlay::TrafficStats& traffic() { return network_->traffic(); }
@@ -163,7 +160,7 @@ class PubSubSystem {
 
   /// Per-rendezvous-key load sketches folded over every node in ring
   /// order (the canonical domain order; TopK::merge is permutation-
-  /// invariant, so the result is bit-identical at any --sim-threads).
+  /// invariant, so the fold order cannot change the result).
   /// Crashed/departed nodes are included: load they served before dying
   /// is still load the ring carried.
   KeyLoad key_load() const;
@@ -195,7 +192,7 @@ class PubSubSystem {
   void sample_once();
 
   SystemConfig cfg_;
-  std::unique_ptr<sim::SimulatorBase> sim_;  // never null
+  sim::Simulator sim_;
   std::unique_ptr<AkMapping> mapping_;
   std::unique_ptr<chord::ChordNetwork> network_;
   std::vector<Key> node_ids_;  // ring order

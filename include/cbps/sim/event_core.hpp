@@ -1,10 +1,9 @@
-// Shared event-queue machinery for the two simulation engines.
+// The simulator's event-queue machinery.
 //
 // An EventCore is one time-ordered event heap plus the slot storage and
-// periodic-timer table behind it. The serial Simulator owns exactly one;
-// the ParallelSimulator owns one per shard plus one for the global
-// domain. The schedule/fire/cancel cycle is allocation-free in steady
-// state (generation-stamped slots recycled through a free list, inline
+// periodic-timer table behind it; the Simulator owns exactly one. The
+// schedule/fire/cancel cycle is allocation-free in steady state
+// (generation-stamped slots recycled through a free list, inline
 // callbacks, a flat vector heap), and stale entries left behind by
 // cancel() are skipped lazily and compacted away once they dominate.
 //
@@ -13,16 +12,14 @@
 //
 //     key = (scheduling domain << 40) | per-domain schedule counter
 //
-// and each heap orders by (time, key). Because a domain's counter is
+// and the heap orders by (time, key). Because a domain's counter is
 // only ever bumped while that domain is executing (or, for the global
 // domain, while the engine is between events), the sequence of keys a
-// domain assigns is a pure function of its own execution history — not
-// of how events from *other* domains interleave in wall-clock terms.
-// Both engines therefore produce the same keys for the same logical
-// events, and (time, key) is a total order that is identical across the
-// serial engine and any shard count. Domain 0 keys sort before all node
-// keys at equal time, which is exactly the "global events at time t run
-// before node events at t" barrier rule of the parallel engine.
+// domain assigns is a pure function of its own execution history.
+// (time, key) is a total order, so a run is bit-identical across runs
+// and sweep worker counts. Domain 0 keys sort before all node keys at
+// equal time: global events (drivers, samplers, fault scripts) at time
+// t run before node events at t.
 #pragma once
 
 #include <algorithm>
@@ -57,19 +54,14 @@ class EventCore {
   static constexpr EventId kInvalidEvent = 0;
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  // EventId layout: [core:6][generation:30][slot index + 1:28]. The +1
-  // keeps core 0 / generation 0 / slot 0 distinct from kInvalidEvent. A
-  // slot's generation bumps on every release, so handles to fired,
-  // cancelled, or recycled events go stale (2^30 reuses to alias).
-  static EventId make_id(std::uint32_t core, std::uint32_t gen,
-                         std::uint32_t slot) {
-    CBPS_ASSERT(core < 64 && slot < ((1u << 28) - 1));
-    return (static_cast<EventId>(core) << 58) |
-           (static_cast<EventId>(gen & ((1u << 30) - 1)) << 28) |
+  // EventId layout: [generation:30][slot index + 1:28]. The +1 keeps
+  // generation 0 / slot 0 distinct from kInvalidEvent. A slot's
+  // generation bumps on every release, so handles to fired, cancelled,
+  // or recycled events go stale (2^30 reuses to alias).
+  static EventId make_id(std::uint32_t gen, std::uint32_t slot) {
+    CBPS_ASSERT(slot < ((1u << 28) - 1));
+    return (static_cast<EventId>(gen & ((1u << 30) - 1)) << 28) |
            (static_cast<EventId>(slot) + 1);
-  }
-  static std::uint32_t core_of_id(EventId id) {
-    return static_cast<std::uint32_t>(id >> 58);
   }
   static std::uint32_t slot_of(EventId id) {
     return static_cast<std::uint32_t>(id & ((1u << 28) - 1)) - 1;
@@ -78,7 +70,7 @@ class EventCore {
     return static_cast<std::uint32_t>(id >> 28) & ((1u << 30) - 1);
   }
 
-  explicit EventCore(std::uint32_t core_index = 0) : core_(core_index) {}
+  EventCore() = default;
   EventCore(const EventCore&) = delete;
   EventCore& operator=(const EventCore&) = delete;
 
@@ -108,14 +100,14 @@ class EventCore {
     s.cb = std::move(cb);
     s.armed = true;
     s.target = target;
-    const EventId id = make_id(core_, s.gen, slot);
+    const EventId id = make_id(s.gen, slot);
     heap_.push_back(HeapEntry{t, key, id});
     std::push_heap(heap_.begin(), heap_.end(), HeapGreater{});
     ++live_;
     return id;
   }
 
-  /// Cancel a pending event of *this* core. Returns false if it already
+  /// Cancel a pending event. Returns false if it already
   /// fired or was already cancelled.
   bool cancel(EventId id) {
     if (!is_live(id)) return false;
@@ -177,9 +169,6 @@ class EventCore {
   std::uint64_t processed() const { return processed_; }
   std::uint64_t compactions() const { return compactions_; }
   std::uint64_t stale_skipped() const { return stale_skipped_; }
-  /// Time of the last popped event (the core-local clock floor).
-  SimTime floor_time() const { return floor_; }
-  std::uint32_t core_index() const { return core_; }
 
  private:
   struct Slot {
@@ -237,7 +226,6 @@ class EventCore {
     ++compactions_;
   }
 
-  std::uint32_t core_;
   std::vector<HeapEntry> heap_;  // min-heap via std::push_heap/pop_heap
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;

@@ -16,13 +16,6 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
   virtual SimTime sample(Rng& rng) = 0;
-
-  /// Minimum delay this model can ever emit — the conservative
-  /// lookahead of the parallel engine's epoch windows. Models that
-  /// cannot bound themselves keep the base default of 0, which makes
-  /// the engine factory fall back to serial execution (a zero lookahead
-  /// would deadlock the barrier protocol).
-  virtual SimTime min_delay() const { return 0; }
 };
 
 /// Constant delay (the paper's model: 50 ms).
@@ -30,7 +23,6 @@ class FixedLatency final : public LatencyModel {
  public:
   explicit FixedLatency(SimTime delay) : delay_(delay) {}
   SimTime sample(Rng&) override { return delay_; }
-  SimTime min_delay() const override { return delay_; }
 
  private:
   SimTime delay_;
@@ -42,7 +34,6 @@ class UniformLatency final : public LatencyModel {
   UniformLatency(SimTime lo, SimTime hi) : lo_(lo), hi_(hi) {
     CBPS_ASSERT(lo <= hi);
   }
-  SimTime min_delay() const override { return lo_; }
   SimTime sample(Rng& rng) override {
     return static_cast<SimTime>(rng.uniform_int(
         static_cast<std::int64_t>(lo_), static_cast<std::int64_t>(hi_)));

@@ -1,27 +1,18 @@
-// Discrete-event simulation engines.
+// The discrete-event simulation engine.
 //
-// SimulatorBase is the seam the overlay/network/pub-sub layers program
-// against: scheduling, periodic timers, domain registration, and run
-// control. Two engines implement it:
+// Simulator is what the overlay/network/pub-sub layers program against:
+// scheduling, periodic timers, domain registration, and run control. One
+// event core, events processed in canonical (time, key) order (see
+// event_core.hpp for the ordering contract).
 //
-//   - Simulator (this header): the single-threaded engine. One event
-//     core, events processed in canonical (time, key) order.
-//   - ParallelSimulator (parallel_simulator.hpp): the epoch-synchronous
-//     sharded engine. Nodes are sharded across worker threads; each
-//     conservative-lookahead window executes shard-locally and
-//     cross-shard messages are exchanged at barriers. Bit-identical to
-//     the serial engine (see event_core.hpp for the ordering contract).
-//
-// Domains: every simulated actor that needs its events isolated onto a
-// shard registers a *domain* (register_domain()). Domain 0 is the
-// global domain — drivers, samplers, fault scripts — whose events are
-// barriers in the parallel engine. Single-domain users (unit tests,
-// micro-benches) can ignore the concept entirely; everything defaults
-// to domain 0 and behaves exactly like the classic serial engine.
+// Domains: every simulated actor registers a *domain*
+// (register_domain()) so the events it schedules are keyed by its own
+// counter. Domain 0 is the global domain — drivers, samplers, fault
+// scripts. Single-domain users (unit tests, micro-benches) can ignore
+// the concept entirely; everything then defaults to domain 0.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cbps/common/assert.hpp"
@@ -32,7 +23,7 @@
 
 namespace cbps::sim {
 
-class SimulatorBase {
+class Simulator {
  public:
   using Callback = common::InlineFunction<void(), 48>;
   using EventId = std::uint64_t;
@@ -41,20 +32,19 @@ class SimulatorBase {
 
   static constexpr EventId kInvalidEvent = 0;
 
-  SimulatorBase() = default;
-  SimulatorBase(const SimulatorBase&) = delete;
-  SimulatorBase& operator=(const SimulatorBase&) = delete;
-  virtual ~SimulatorBase() = default;
+  Simulator();
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
-  /// Current simulated time. Inside an event callback this is the event's
-  /// time (on any engine); outside it is the engine clock.
-  virtual SimTime now() const = 0;
+  /// Current simulated time. Inside an event callback this is the
+  /// event's time.
+  SimTime now() const { return now_; }
 
   /// Schedule `cb` at absolute time `t` (>= now()). The event is keyed
-  /// by — and, on the parallel engine, placed on the shard of — the
-  /// current acting domain (common::exec_context().actor_domain).
-  /// Returns a handle that can cancel the event before it fires.
-  virtual EventId schedule_at(SimTime t, Callback cb) = 0;
+  /// by the current acting domain (common::exec_context().actor_domain)
+  /// and executes as it. Returns a handle that can cancel the event
+  /// before it fires.
+  EventId schedule_at(SimTime t, Callback cb);
 
   /// Schedule `cb` after `delay` from now.
   EventId schedule_after(SimTime delay, Callback cb) {
@@ -62,88 +52,50 @@ class SimulatorBase {
   }
 
   /// Schedule `cb` to execute *as* domain `target` at absolute time `t`
-  /// (network delivery: the receiver runs the callback). On the parallel
-  /// engine the event is placed on the target's shard; called from a
-  /// worker with a target on another shard, `t` must be at least one
-  /// lookahead ahead and the returned handle is kInvalidEvent (a
-  /// cross-shard event cannot be cancelled by its sender).
-  virtual EventId schedule_for(Domain target, SimTime t, Callback cb) = 0;
+  /// (network delivery: the receiver runs the callback). The event is
+  /// still keyed by the scheduling domain.
+  EventId schedule_for(Domain target, SimTime t, Callback cb);
 
   /// Cancel a pending event. Returns false if it already fired or was
-  /// already cancelled. On the parallel engine, only the owning shard
-  /// (or global context at a barrier) may cancel.
-  virtual bool cancel(EventId id) = 0;
+  /// already cancelled.
+  bool cancel(EventId id) { return core_.cancel(id); }
 
   /// Register a periodic timer firing every `period`, first at
   /// now() + first_delay (defaults to one full period). The timer is
-  /// owned by the current acting domain (events keyed/placed like
+  /// owned by the current acting domain (events keyed like
   /// schedule_at). The callback keeps firing until cancel_timer().
   TimerId add_timer(SimTime period, Callback cb) {
     return add_timer(period, period, std::move(cb));
   }
-  virtual TimerId add_timer(SimTime period, SimTime first_delay,
-                            Callback cb) = 0;
+  TimerId add_timer(SimTime period, SimTime first_delay, Callback cb);
 
   /// Stop a periodic timer. Returns false if unknown/already cancelled.
-  virtual bool cancel_timer(TimerId id) = 0;
+  bool cancel_timer(TimerId id);
 
-  /// Run until the queue drains (or at least `max_events` fire — the
-  /// parallel engine only checks the budget between epochs). Returns the
+  /// Run until the queue drains or `max_events` fire. Returns the
   /// number of events processed.
-  virtual std::uint64_t run(std::uint64_t max_events = ~std::uint64_t{0}) = 0;
+  std::uint64_t run(std::uint64_t max_events = ~std::uint64_t{0});
 
   /// Process every event with time <= t, then advance the clock to t.
   /// Returns the number of events processed.
-  virtual std::uint64_t run_until(SimTime t) = 0;
+  std::uint64_t run_until(SimTime t);
 
   /// Pending (non-cancelled) event count, periodic timers included.
-  virtual std::size_t pending_events() const = 0;
+  std::size_t pending_events() const { return core_.live(); }
 
-  virtual std::uint64_t events_processed() const = 0;
+  std::uint64_t events_processed() const { return core_.processed(); }
 
   /// Heap-health accounting (surfaces in --metrics-json): lazy-deleted
   /// entries skipped at pop time, and full heap rebuilds triggered when
   /// stale entries outnumbered live ones.
-  virtual std::uint64_t stale_entries_skipped() const = 0;
-  virtual std::uint64_t heap_compactions() const = 0;
-
-  /// Allocate a fresh scheduling domain (dense, starting at 1). The
-  /// parallel engine assigns the domain to a shard; the serial engine
-  /// only uses it for key attribution.
-  virtual Domain register_domain() = 0;
-
-  /// Worker threads executing events (1 for the serial engine).
-  virtual unsigned thread_count() const { return 1; }
-};
-
-/// The single-threaded engine: one EventCore processed in canonical
-/// (time, key) order. Final so direct users (micro-benches, tests)
-/// devirtualize the hot path.
-class Simulator final : public SimulatorBase {
- public:
-  Simulator();
-
-  SimTime now() const override { return now_; }
-  EventId schedule_at(SimTime t, Callback cb) override;
-  EventId schedule_for(Domain target, SimTime t, Callback cb) override;
-  bool cancel(EventId id) override;
-  using SimulatorBase::add_timer;
-  TimerId add_timer(SimTime period, SimTime first_delay,
-                    Callback cb) override;
-  bool cancel_timer(TimerId id) override;
-  std::uint64_t run(std::uint64_t max_events = ~std::uint64_t{0}) override;
-  std::uint64_t run_until(SimTime t) override;
-  std::size_t pending_events() const override { return core_.live(); }
-  std::uint64_t events_processed() const override {
-    return core_.processed();
-  }
-  std::uint64_t stale_entries_skipped() const override {
+  std::uint64_t stale_entries_skipped() const {
     return core_.stale_skipped();
   }
-  std::uint64_t heap_compactions() const override {
-    return core_.compactions();
-  }
-  Domain register_domain() override;
+  std::uint64_t heap_compactions() const { return core_.compactions(); }
+
+  /// Allocate a fresh scheduling domain (dense, starting at 1), used
+  /// for key attribution.
+  Domain register_domain();
 
  private:
   /// Canonical key for a fresh event, attributed to the acting domain.

@@ -22,7 +22,7 @@ HotStats::HotStats(metrics::Registry& reg, std::string_view prefix)
   }
 }
 
-ChordNetwork::ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg,
+ChordNetwork::ChordNetwork(sim::Simulator& sim, ChordConfig cfg,
                            std::uint64_t seed,
                            std::unique_ptr<sim::LatencyModel> latency)
     : NetworkCore(sim, cfg, seed, std::move(latency), "chord.") {}
@@ -202,10 +202,8 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
   }
   traffic_.record_hop(cls, wire_size_bytes(msg));
 
-  // All wire randomness comes from the *sender's* streams: transmit is
-  // only ever called from the sending node's own execution context (or
-  // from the exclusive global context), so the draws race with nothing
-  // and replay identically at any shard count.
+  // All wire randomness comes from the *sender's* streams, so a node's
+  // draws depend only on its own transmission history.
   overlay::WireState& src_wire = wire_.at(from);
   if (src_wire.lost(hot_, cls)) return true;
 
@@ -222,14 +220,10 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
   if (slow > 1.0) {
     delay = static_cast<sim::SimTime>(static_cast<double>(delay) * slow);
   }
-  // Integer-microsecond samples into a lock-free histogram: the sum is
-  // order-independent, so concurrent shard senders stay deterministic.
   hot_.delay_us_by_class[static_cast<std::size_t>(cls)]->add(
       static_cast<double>(delay));
   // Deliver on the destination's scheduling domain: the receive callback
-  // runs on (and is keyed by) the receiver's shard. The latency floor
-  // (LatencyModel::min_delay) is the parallel engine's lookahead, which
-  // is exactly what makes this cross-shard handoff legal mid-window.
+  // executes as the receiver.
   sim_.schedule_for(wire_.at(to).domain, sim_.now() + delay,
                     [this, from, to, env] {
     // Destination died in flight — except a lame-duck ack: the departed

@@ -1,50 +1,10 @@
 #include "cbps/metrics/histogram.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 
 namespace cbps::metrics {
-
-namespace {
-
-void atomic_add(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v,
-                                  std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-Histogram& Histogram::operator=(const Histogram& o) {
-  if (this == &o) return *this;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    buckets_[i].store(o.bucket(i), std::memory_order_relaxed);
-  }
-  count_.store(o.count_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  sum_.store(o.sum_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  min_.store(o.min_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  max_.store(o.max_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  return *this;
-}
 
 std::size_t Histogram::bucket_index(double v) {
   if (!(v > 0.0)) return 0;  // zero, negative, NaN
@@ -76,11 +36,11 @@ double Histogram::bucket_mid(std::size_t i) {
 
 void Histogram::add(double v, std::uint64_t weight) {
   if (weight == 0) return;
-  atomic_min(min_, v);
-  atomic_max(max_, v);
-  buckets_[bucket_index(v)].fetch_add(weight, std::memory_order_relaxed);
-  count_.fetch_add(weight, std::memory_order_relaxed);
-  atomic_add(sum_, v * static_cast<double>(weight));
+  min_ = std::min(min_, v);
+  max_ = std::max(max_, v);
+  buckets_[bucket_index(v)] += weight;
+  count_ += weight;
+  sum_ += v * static_cast<double>(weight);
 }
 
 double Histogram::percentile(double p) const {
@@ -106,25 +66,17 @@ double Histogram::percentile(double p) const {
 }
 
 void Histogram::merge(const Histogram& other) {
-  if (other.count() == 0) return;
-  atomic_min(min_, other.min_.load(std::memory_order_relaxed));
-  atomic_max(max_, other.max_.load(std::memory_order_relaxed));
+  if (other.count_ == 0) return;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
   for (std::size_t i = 0; i < kBucketCount; ++i) {
-    buckets_[i].fetch_add(other.bucket(i), std::memory_order_relaxed);
+    buckets_[i] += other.buckets_[i];
   }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  atomic_add(sum_, other.sum());
+  count_ += other.count_;
+  sum_ += other.sum_;
 }
 
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
+void Histogram::reset() { *this = Histogram{}; }
 
 void Histogram::print(std::ostream& os) const {
   os << "count=" << count() << " mean=" << mean() << " p50=" << p50()

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <unordered_map>
 
 #include "cbps/common/assert.hpp"
 #include "cbps/common/exec_context.hpp"
@@ -33,12 +32,9 @@ const char* to_string(SpanKind kind) {
 TraceSink::TraceSink(double sample_rate)
     : sample_rate_(sample_rate < 0.0   ? 0.0
                    : sample_rate > 1.0 ? 1.0
-                                       : sample_rate),
-      stripes_(kMaxStripes) {}
+                                       : sample_rate) {}
 
 std::uint64_t TraceSink::maybe_start_trace() {
-  CBPS_ASSERT_MSG(common::exec_context().stripe == 0,
-                  "trace roots start from global context only");
   if (sample_rate_ <= 0.0) return 0;
   credit_ += sample_rate_;
   if (credit_ < 1.0) return 0;
@@ -52,73 +48,50 @@ std::uint64_t TraceSink::emit(const TraceRef& t, SpanKind kind,
                               std::uint64_t b) {
   if (!t.sampled()) return 0;
   CBPS_ASSERT_MSG(!finalized_, "emit() after spans were finalized");
-  auto& x = common::exec_context();
-  CBPS_ASSERT(x.stripe < kMaxStripes);
-  Stripe& s = stripes_[x.stripe];
-  if (s.recs.size() >= max_spans_) {
-    ++s.dropped;
+  if (recs_.size() >= max_spans_) {
+    ++dropped_;
     return 0;
   }
-  // Provisional id: stripe-tagged so ids never collide across workers.
-  // finalize() renumbers them 1..n in canonical order.
-  const std::uint64_t id = ((static_cast<std::uint64_t>(x.stripe) + 1) << 48) |
-                           s.next_local++;
-  s.recs.push_back(Rec{Span{id, t.trace_id, t.parent_span, kind, node,
-                            start_us, end_us, a, b},
-                       x.time, x.event_key, x.emit_seq++});
+  auto& x = common::exec_context();
+  const std::uint64_t id = recs_.size() + 1;
+  recs_.push_back(Rec{Span{id, t.trace_id, t.parent_span, kind, node,
+                           start_us, end_us, a, b},
+                      x.time, x.event_key, x.emit_seq++});
   return id;
-}
-
-std::uint64_t TraceSink::spans_dropped() const {
-  std::uint64_t n = 0;
-  for (const Stripe& s : stripes_) n += s.dropped;
-  return n;
 }
 
 void TraceSink::finalize() {
   if (finalized_) return;
   finalized_ = true;
 
-  std::size_t total = 0;
-  for (const Stripe& s : stripes_) total += s.recs.size();
-
-  std::vector<Rec> all;
-  all.reserve(total);
-  for (Stripe& s : stripes_) {
-    std::move(s.recs.begin(), s.recs.end(), std::back_inserter(all));
-    s.recs.clear();
-    s.recs.shrink_to_fit();
-  }
-
-  // Canonical order: (sim time, event key, emission index). Within one
-  // stripe the triple is strictly increasing per event, and event keys
-  // are unique across stripes, so the order — and therefore the
-  // renumbering — is a pure function of the workload, not of the engine
-  // or shard count. stable_sort keeps append order on the (test-only)
-  // case of emits outside any event callback.
-  std::stable_sort(all.begin(), all.end(), [](const Rec& l, const Rec& r) {
+  // Canonical order: (sim time, event key, emission index). The triple
+  // is strictly increasing within an event and event keys are unique,
+  // so the order — and therefore the renumbering — is a pure function
+  // of the workload. stable_sort keeps append order among emits made
+  // outside any event callback (key 0, test-only).
+  std::stable_sort(recs_.begin(), recs_.end(), [](const Rec& l, const Rec& r) {
     if (l.time != r.time) return l.time < r.time;
     if (l.event_key != r.event_key) return l.event_key < r.event_key;
     return l.emit_seq < r.emit_seq;
   });
 
-  std::unordered_map<std::uint64_t, std::uint64_t> remap;
-  remap.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    remap.emplace(all[i].span.span_id, i + 1);
+  // Provisional id (append index + 1) -> final id (sorted index + 1).
+  std::vector<std::uint64_t> remap(recs_.size() + 1, 0);
+  for (std::size_t i = 0; i < recs_.size(); ++i) {
+    remap[recs_[i].span.span_id] = i + 1;
   }
 
-  final_.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    Span s = all[i].span;
-    s.span_id = i + 1;
-    if (s.parent_span != 0) {
-      // A missing parent was dropped by the span cap; orphan to root.
-      const auto it = remap.find(s.parent_span);
-      s.parent_span = it != remap.end() ? it->second : 0;
-    }
+  final_.reserve(recs_.size());
+  for (const Rec& r : recs_) {
+    Span s = r.span;
+    s.span_id = remap[s.span_id];
+    // 0 (trace root) maps to 0; an id this sink never issued orphans
+    // the span to the root.
+    s.parent_span =
+        s.parent_span < remap.size() ? remap[s.parent_span] : 0;
     final_.push_back(s);
   }
+  recs_ = {};
 }
 
 void TraceSink::write_jsonl(std::ostream& os) {

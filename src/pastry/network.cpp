@@ -5,7 +5,7 @@
 
 namespace cbps::pastry {
 
-PastryNetwork::PastryNetwork(sim::SimulatorBase& sim, PastryConfig cfg,
+PastryNetwork::PastryNetwork(sim::Simulator& sim, PastryConfig cfg,
                              std::uint64_t seed,
                              std::unique_ptr<sim::LatencyModel> latency)
     : NetworkCore(sim, cfg, seed, std::move(latency), "pastry.") {}
@@ -53,9 +53,8 @@ bool PastryNetwork::transmit(Key from, Key to, WireMessage msg,
       cls, std::visit([](const auto& m) { return overlay::wire_size_bytes(m); },
                       msg));
 
-  // Only the sender's own streams are consulted, so a transmit issued
-  // from node `from`'s event (or from exclusive global context) never
-  // races with other shards.
+  // Only the sender's own streams are consulted, so a node's draws
+  // depend only on its own transmission history.
   overlay::WireState& src_wire = wire_.at(from);
   if (src_wire.lost(hot_, cls)) return true;
 

@@ -67,7 +67,7 @@ bool arc_intersects(const RingParams& ring, Key lo, Key hi,
 }  // namespace
 
 PubSubNode::PubSubNode(overlay::OverlayNode& overlay,
-                       sim::SimulatorBase& sim, const AkMapping& mapping,
+                       sim::Simulator& sim, const AkMapping& mapping,
                        PubSubConfig cfg)
     : overlay_(overlay), sim_(sim), mapping_(mapping), cfg_(cfg),
       gossip_rng_(mix64(cfg.gossip_seed ^ mix64(overlay.id()))),
@@ -439,8 +439,8 @@ void PubSubNode::arm_once(bool& armed, sim::SimTime after,
                           void (PubSubNode::*fire)()) {
   if (armed) return;
   armed = true;
-  // A one-shot timer is this node's own event: key/place it on this
-  // node's overlay domain (same shard as the rest of its state).
+  // A one-shot timer is this node's own event: key it on this node's
+  // overlay domain, like the rest of its events.
   const common::ActorScope as(overlay_.domain());
   sim_.schedule_after(after, [this, &armed, fire] {
     armed = false;

@@ -4,32 +4,10 @@
 #include <map>
 #include <utility>
 
-#include "cbps/common/logging.hpp"
 #include "cbps/sim/latency.hpp"
 #include "cbps/sim/loss.hpp"
-#include "cbps/sim/parallel_simulator.hpp"
 
 namespace cbps::pubsub {
-
-namespace {
-
-/// Engine factory: the sharded engine needs a positive conservative
-/// lookahead (the latency model's min_delay); otherwise serial.
-std::unique_ptr<sim::SimulatorBase> make_engine(
-    std::size_t threads, const sim::LatencyModel& latency) {
-  if (threads <= 1) return std::make_unique<sim::Simulator>();
-  const sim::SimTime lookahead = latency.min_delay();
-  if (lookahead <= 0) {
-    CBPS_LOG_WARN << "sim_threads=" << threads
-                  << " requested but the latency model has min_delay 0; "
-                     "falling back to the serial engine";
-    return std::make_unique<sim::Simulator>();
-  }
-  return std::make_unique<sim::ParallelSimulator>(
-      static_cast<unsigned>(threads), lookahead);
-}
-
-}  // namespace
 
 PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
   // A reliable (ack/retry) wire can deliver an application message twice
@@ -49,10 +27,10 @@ PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
   cfg_.pubsub.gossip_seed = cfg_.seed * 0x9e3779b97f4a7c15ull + 0x6a09e667f3bcc909ull;
   mapping_ = make_mapping(cfg.mapping, std::move(schema), cfg.chord.ring,
                           cfg.mapping_options);
-  auto latency = std::make_unique<sim::FixedLatency>(cfg.message_delay);
-  sim_ = make_engine(cfg.sim_threads, *latency);
+  CBPS_ASSERT_MSG(cfg.sim_threads == 1, "the simulator is single-threaded");
   network_ = std::make_unique<chord::ChordNetwork>(
-      *sim_, cfg.chord, cfg.seed, std::move(latency));
+      sim_, cfg.chord, cfg.seed,
+      std::make_unique<sim::FixedLatency>(cfg.message_delay));
   if (cfg_.trace_sample_rate > 0.0) {
     trace_sink_ =
         std::make_unique<metrics::TraceSink>(cfg_.trace_sample_rate);
@@ -79,7 +57,7 @@ PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
   host_of_.reserve(node_ids_.size());
   for (Key id : node_ids_) {
     nodes_.push_back(std::make_unique<PubSubNode>(
-        *network_->node(id), *sim_, *mapping_, cfg_.pubsub));
+        *network_->node(id), sim_, *mapping_, cfg_.pubsub));
     nodes_.back()->set_trace_sink(trace_sink_.get());
     host_of_.push_back(host_by_id.at(id));
   }
@@ -138,7 +116,7 @@ std::size_t PubSubSystem::join_node(const std::string& name) {
   }
   CBPS_ASSERT_MSG(found, "need an alive node to bootstrap a join");
   chord::ChordNode& cn = network_->join_node(name, bootstrap);
-  auto app = std::make_unique<PubSubNode>(cn, *sim_, *mapping_, cfg_.pubsub);
+  auto app = std::make_unique<PubSubNode>(cn, sim_, *mapping_, cfg_.pubsub);
   app->set_trace_sink(trace_sink_.get());
   if (sink_) app->set_notify_sink(sink_);
   const auto pos = static_cast<std::size_t>(
@@ -363,8 +341,8 @@ void PubSubSystem::sample_once() {
       static_cast<double>(network_->loss_bad_state_count());
   const LoadImbalance imbalance = load_imbalance();
   series_.append(
-      sim_->now(),
-      {static_cast<double>(sim_->pending_events()),
+      sim_.now(),
+      {static_cast<double>(sim_.pending_events()),
        static_cast<double>(pending_retries),
        static_cast<double>(owned_max),
        alive == 0 ? 0.0
@@ -378,12 +356,12 @@ void PubSubSystem::sample_once() {
 void PubSubSystem::start_sampler(sim::SimTime period) {
   if (sampler_timer_ != 0) return;
   sample_once();  // baseline row at the current time
-  sampler_timer_ = sim_->add_timer(period, [this] { sample_once(); });
+  sampler_timer_ = sim_.add_timer(period, [this] { sample_once(); });
 }
 
 void PubSubSystem::stop_sampler() {
   if (sampler_timer_ == 0) return;
-  sim_->cancel_timer(sampler_timer_);
+  sim_.cancel_timer(sampler_timer_);
   sampler_timer_ = 0;
 }
 

@@ -37,8 +37,6 @@ Simulator::EventId Simulator::schedule_for(Domain target, SimTime t,
   return core_.schedule(t, next_key(), target, std::move(cb));
 }
 
-bool Simulator::cancel(EventId id) { return core_.cancel(id); }
-
 Simulator::TimerId Simulator::add_timer(SimTime period, SimTime first_delay,
                                         Callback cb) {
   CBPS_ASSERT_MSG(period > 0, "zero-period timer would livelock");
@@ -76,7 +74,7 @@ bool Simulator::cancel_timer(TimerId id) {
   return true;
 }
 
-SimulatorBase::Domain Simulator::register_domain() {
+Simulator::Domain Simulator::register_domain() {
   const auto d = static_cast<Domain>(dom_seq_.size());
   dom_seq_.push_back(0);
   return d;
@@ -91,7 +89,6 @@ bool Simulator::step() {
   x.actor_domain = ev.target;
   x.event_key = ev.key;
   x.emit_seq = 0;
-  x.stripe = 0;
   ev.cb();
   x.actor_domain = common::kGlobalDomain;
   x.event_key = 0;

@@ -213,7 +213,7 @@ FaultScriptRunner::FaultScriptRunner(pubsub::PubSubSystem& system,
       is_protected_(std::move(is_protected)) {}
 
 void FaultScriptRunner::start() {
-  sim::SimulatorBase& sim = system_.sim();
+  sim::Simulator& sim = system_.sim();
   for (const FaultDirective& d : script_.directives) {
     sim.schedule_at(std::max(d.at, sim.now()), [this, &d] { apply(d); });
   }

@@ -1,5 +1,5 @@
-// D4: raw concurrency primitives outside the blessed modules
-// (thread_pool, parallel_simulator, the metrics striped folds).
+// D4: raw concurrency primitives outside the one blessed module
+// (thread_pool).
 #include <atomic>
 #include <mutex>
 #include <thread>

@@ -2,7 +2,7 @@
 //
 // The observatory's whole value rests on two properties:
 //   1. the emitted metrics JSON (hot-key tables, imbalance summary,
-//      time-series) is bit-identical at any --sim-threads, and
+//      time-series) is bit-identical from run to run, and
 //   2. the per-key sketch counts bracket the exact per-key load.
 // Both are asserted here on a Zipf-centered workload (one selective
 // attribute concentrates rendezvous traffic on popular values — the
@@ -27,18 +27,11 @@ using namespace cbps;
 
 namespace {
 
-// Read a metrics JSON file, dropping the one line that legitimately
-// depends on the engine shape: the "sim_threads" summary field records
-// the thread count itself. Every other byte must match across engines.
-std::string slurp_masked(const std::string& path) {
+std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  std::string out, line;
-  while (std::getline(in, line)) {
-    if (line.find("\"sim_threads\"") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
 }
 
 bench::ExperimentConfig zipf_config() {
@@ -154,41 +147,36 @@ TEST(LoadObservatoryTest, NotifyFanoutChargesEachDeliveryOnce) {
 }
 
 // The full pipeline, end to end: a Zipf-centered run's --metrics-json
-// output (hot-key tables included) is byte-identical between the serial
-// engine and the 8-way sharded engine. This is the observability
-// counterpart of the engine's bit-identical guarantee — per-node
-// sketches fold in ring order regardless of shard count.
-TEST(LoadObservatoryTest, MetricsJsonBitIdenticalAcrossSimThreads) {
+// output (hot-key tables included) is byte-identical between two runs
+// of the same configuration, and carries every observatory section.
+TEST(LoadObservatoryTest, MetricsJsonBitIdenticalAcrossRuns) {
   const std::string dir = ::testing::TempDir();
-  const auto path = [&](std::size_t threads) {
-    return dir + "load_obs_t" + std::to_string(threads) + ".json";
+  const auto path = [&](int run) {
+    return dir + "load_obs_run" + std::to_string(run) + ".json";
   };
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+  for (const int run : {1, 2}) {
     bench::ExperimentConfig cfg = zipf_config();
-    cfg.sim_threads = threads;
-    cfg.metrics_json_path = path(threads);
+    cfg.metrics_json_path = path(run);
     const bench::ExperimentResult r = bench::run_experiment(cfg);
     EXPECT_GT(r.notifications_delivered, 0u);
     EXPECT_GT(r.hot_key_top1_share, 0.0);
   }
 
-  const std::string serial = slurp_masked(path(1));
-  const std::string sharded = slurp_masked(path(8));
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, sharded)
-      << "metrics JSON diverged between --sim-threads 1 and 8";
+  const std::string first = slurp(path(1));
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, slurp(path(2))) << "metrics JSON diverged between runs";
 
   // The emitted document carries every observatory section.
   for (const char* needle :
        {"\"hot_keys\"", "\"subs_stored\"", "\"match_calls\"",
         "\"match_units\"", "\"notify_fanout\"", "load_gini",
         "load_max_over_mean", "hot_key_top1_share"}) {
-    EXPECT_NE(serial.find(needle), std::string::npos)
+    EXPECT_NE(first.find(needle), std::string::npos)
         << "metrics JSON missing " << needle;
   }
   std::remove(path(1).c_str());
-  std::remove(path(8).c_str());
+  std::remove(path(2).c_str());
 }
 
 // The summary imbalance metrics agree with a hand-rolled Gini over the

@@ -77,7 +77,7 @@ struct TagDelivery {
 class TagApp final : public overlay::OverlayApp {
  public:
   TagApp(Key node, std::vector<TagDelivery>& sink,
-         const sim::SimulatorBase& clock)
+         const sim::Simulator& clock)
       : node_(node), sink_(sink), clock_(clock) {}
 
   void on_deliver(Key key, const PayloadPtr& payload) override {
@@ -99,7 +99,7 @@ class TagApp final : public overlay::OverlayApp {
 
   Key node_;
   std::vector<TagDelivery>& sink_;
-  const sim::SimulatorBase& clock_;
+  const sim::Simulator& clock_;
 };
 
 class ChordLossHarness {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <vector>
 
+#include "cbps/common/exec_context.hpp"
 #include "cbps/sim/latency.hpp"
 #include "cbps/sim/simulator.hpp"
 
@@ -228,6 +229,56 @@ TEST(SimulatorTest, AckRetryChurnKeepsPendingBounded) {
   sim.run();
   EXPECT_EQ(fires, 5000);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// A periodic timer ticking exactly on the run_until boundaries, one on
+// the global domain and one on a registered node domain: every tick
+// fires exactly once, and a repeated run_until at the same boundary
+// does not re-fire it.
+TEST(EpochBoundaryTest, RunUntilPeriodicTimerAtExactBoundary) {
+  const SimTime period = ms(50);
+  Simulator sim;
+  std::vector<SimTime> global_fires;
+  std::vector<SimTime> node_fires;
+  sim.add_timer(period, [&] { global_fires.push_back(sim.now()); });
+  const common::Domain d = sim.register_domain();
+  {
+    const common::ActorScope as(d);
+    sim.add_timer(period, [&] { node_fires.push_back(sim.now()); });
+  }
+  sim.run_until(ms(500));
+  ASSERT_EQ(global_fires.size(), 10u);
+  ASSERT_EQ(node_fires.size(), 10u);
+  sim.run_until(ms(500));  // same boundary again: no re-fire
+  EXPECT_EQ(global_fires.size(), 10u);
+  EXPECT_EQ(node_fires.size(), 10u);
+  sim.run_until(ms(1000));
+  EXPECT_EQ(sim.now(), ms(1000));
+  // run_until is inclusive: ticks at 50, 100, ..., 1000 -> 20 per timer.
+  std::vector<SimTime> expected;
+  for (SimTime t = period; t <= ms(1000); t += period) expected.push_back(t);
+  EXPECT_EQ(global_fires, expected);
+  EXPECT_EQ(node_fires, expected);
+}
+
+// One-shot events scheduled exactly at the run_until boundary and one
+// tick past it: the boundary event fires, the later one stays pending.
+TEST(EpochBoundaryTest, BoundaryEventFiresLaterEventStaysPending) {
+  Simulator sim;
+  int at_boundary = 0;
+  int past_boundary = 0;
+  const common::Domain d = sim.register_domain();
+  {
+    const common::ActorScope as(d);
+    sim.schedule_at(ms(200), [&at_boundary] { ++at_boundary; });
+    sim.schedule_at(ms(200) + 1, [&past_boundary] { ++past_boundary; });
+  }
+  sim.run_until(ms(200));
+  EXPECT_EQ(at_boundary, 1);
+  EXPECT_EQ(past_boundary, 0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(past_boundary, 1);
 }
 
 TEST(LatencyTest, FixedLatencyIsConstant) {

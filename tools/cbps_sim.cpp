@@ -97,7 +97,6 @@ int main(int argc, char** argv) {
   std::string fault_script;
   std::int64_t seeds = 1;
   std::int64_t jobs = 0;
-  std::int64_t sim_threads = 1;
   std::string json_path;
   std::string trace_path;
   double trace_sample_rate = 0.0;
@@ -165,9 +164,6 @@ int main(int argc, char** argv) {
              "independent run each, starting at --seed)", &seeds);
   parser.add("jobs", "worker threads for --seeds sweeps (0 = all hardware "
              "threads)", &jobs);
-  parser.add("sim-threads", "engine worker threads inside each run (the "
-             "epoch-synchronous sharded engine; results are bit-identical "
-             "to 1, only wall time changes)", &sim_threads);
   parser.add("json", "dump per-run timings+metrics to this file",
              &json_path);
   parser.add("trace", "write the causal message trace here (.jsonl = one "
@@ -194,11 +190,6 @@ int main(int argc, char** argv) {
   }
   if (seeds < 1 || jobs < 0) {
     std::fprintf(stderr, "bad --seeds/--jobs\n");
-    return 1;
-  }
-  if (sim_threads < 1) {
-    std::fprintf(stderr, "bad --sim-threads: %lld\n",
-                 static_cast<long long>(sim_threads));
     return 1;
   }
   if (seeds > 1 && !(save_trace.empty() && replay_trace.empty())) {
@@ -314,7 +305,6 @@ int main(int argc, char** argv) {
   bench::SweepOptions so;
   so.jobs = static_cast<std::size_t>(jobs);
   so.json_path = json_path;
-  so.sim_threads = static_cast<std::size_t>(sim_threads);
   sweep.set_options(so);
   for (std::int64_t i = 0; i < seeds; ++i) {
     ExperimentConfig point = cfg;
