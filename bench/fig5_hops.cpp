@@ -31,11 +31,9 @@ int main(int argc, char** argv) {
   for (const pubsub::MappingKind mapping : mappings) {
     for (const Transport t : transports) {
       ExperimentConfig cfg;
-      cfg.mapping = mapping;
-      cfg.sub_transport = t;
-      cfg.pub_transport = t;
-      cfg.subscriptions = 1000;
-      cfg.publications = 1000;
+      cfg.sys.mapping = mapping;
+      cfg.sys.pubsub.sub_transport = t;
+      cfg.sys.pubsub.pub_transport = t;
       sweep.add(mapping_label(mapping) + "/" + transport_label(t), cfg);
     }
   }

@@ -30,17 +30,18 @@ int main(int argc, char** argv) {
       pubsub::MappingKind::kSelectiveAttribute};
 
   // Point order: selective x mapping x expiry (rows stream cell by cell).
-  for (const int selective : {0, 1}) {
+  for (const std::size_t selective : {0, 1}) {
     for (const pubsub::MappingKind mapping : mappings) {
       for (const auto& [label, ttl] : expiries) {
         ExperimentConfig cfg;
-        cfg.mapping = mapping;
-        cfg.selective_attributes = selective;
-        cfg.subscriptions = 25'000;
-        cfg.publications = 0;
-        cfg.sub_ttl = ttl;
+        cfg.sys.mapping = mapping;
+        cfg.workload.selective.assign(selective, true);
+        cfg.driver.max_subscriptions = 25'000;
+        cfg.driver.max_publications = 0;
+        cfg.driver.sub_ttl = ttl;
         // Memory is transport-independent; m-cast keeps the run fast.
-        cfg.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
+        cfg.sys.pubsub.sub_transport =
+            pubsub::PubSubConfig::Transport::kMulticast;
         sweep.add(mapping_label(mapping) + "/sel" +
                       std::to_string(selective) + "/ttl=" + label,
                   cfg);

@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
                                                 2000};
   for (const std::size_t n : node_counts) {
     ExperimentConfig cfg;
-    cfg.nodes = n;
-    cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
-    cfg.subscriptions = 500;
-    cfg.publications = 500;
+    cfg.sys.nodes = n;
+    cfg.sys.mapping = pubsub::MappingKind::kSelectiveAttribute;
+    cfg.driver.max_subscriptions = 500;
+    cfg.driver.max_publications = 500;
     sweep.add("n=" + std::to_string(n), cfg);
   }
 

@@ -27,19 +27,20 @@ int main(int argc, char** argv) {
       pubsub::MappingKind::kKeySpaceSplit,
       pubsub::MappingKind::kSelectiveAttribute};
 
-  for (const int selective : {0, 1}) {
+  for (const std::size_t selective : {0, 1}) {
     for (const pubsub::MappingKind mapping : mappings) {
       for (const std::size_t n : node_counts) {
         ExperimentConfig cfg;
-        cfg.nodes = n;
-        cfg.mapping = mapping;
-        cfg.selective_attributes = selective;
-        cfg.subscriptions = 25'000;
-        cfg.publications = 0;
-        cfg.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
+        cfg.sys.nodes = n;
+        cfg.sys.mapping = mapping;
+        cfg.workload.selective.assign(selective, true);
+        cfg.driver.max_subscriptions = 25'000;
+        cfg.driver.max_publications = 0;
+        cfg.sys.pubsub.sub_transport =
+            pubsub::PubSubConfig::Transport::kMulticast;
         // Inject back-to-back: with no publications and no expiry the
         // stored-subscription peak is the same as with spaced injection.
-        cfg.sub_interval = 0;
+        cfg.driver.sub_interval = 0;
         sweep.add(mapping_label(mapping) + "/sel" +
                       std::to_string(selective) + "/n=" + std::to_string(n),
                   cfg);

@@ -43,14 +43,13 @@ int main(int argc, char** argv) {
   for (const Variant& v : variants) {
     for (const double p : probs) {
       ExperimentConfig cfg;
-      cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
-      cfg.matching_probability = p;
-      cfg.buffering = v.buffering;
-      cfg.collecting = v.collecting;
-      cfg.buffer_period = v.period;
-      cfg.subscriptions = 1000;
-      cfg.publications = 2000;
-      cfg.event_locality = 0.9;
+      cfg.sys.mapping = pubsub::MappingKind::kSelectiveAttribute;
+      cfg.sys.pubsub.buffering = v.buffering;
+      cfg.sys.pubsub.collecting = v.collecting;
+      cfg.sys.pubsub.buffer_period = v.period;
+      cfg.workload.matching_probability = p;
+      cfg.driver.max_publications = 2000;
+      cfg.driver.event_locality = 0.9;
       sweep.add(std::string(v.label) + "/p=" + std::to_string(p), cfg);
     }
   }

@@ -34,14 +34,13 @@ int main(int argc, char** argv) {
     const double mean_range = frac * 1'000'000 / 2.0;
     for (const Disc& d : discs) {
       ExperimentConfig cfg;
-      cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
-      cfg.nonselective_frac = frac;
-      cfg.discretization =
+      cfg.sys.mapping = pubsub::MappingKind::kSelectiveAttribute;
+      cfg.sys.mapping_options.discretization =
           d.frac_of_mean_range == 0.0
               ? 1
               : static_cast<Value>(mean_range * d.frac_of_mean_range);
-      cfg.subscriptions = 1000;
-      cfg.publications = 0;
+      cfg.workload.nonselective_range_frac = frac;
+      cfg.driver.max_publications = 0;
       sweep.add("range=" + std::to_string(mean_range) + "/disc=" + d.label,
                 cfg);
     }

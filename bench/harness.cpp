@@ -193,34 +193,16 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       workload::FaultScript::parse(cfg.fault_script, &fs_error);
   CBPS_ASSERT_MSG(fault_script.has_value(), fs_error.c_str());
 
-  pubsub::SystemConfig sys_cfg;
-  sys_cfg.nodes = cfg.nodes;
-  sys_cfg.seed = cfg.seed;
-  sys_cfg.chord.ring = RingParams{cfg.ring_bits};
-  sys_cfg.mapping = cfg.mapping;
-  sys_cfg.mapping_options.discretization = cfg.discretization;
-  sys_cfg.pubsub.sub_transport = cfg.sub_transport;
-  sys_cfg.pubsub.pub_transport = cfg.pub_transport;
-  sys_cfg.pubsub.buffering = cfg.buffering;
-  sys_cfg.pubsub.collecting = cfg.collecting;
-  sys_cfg.pubsub.buffer_period = cfg.buffer_period;
-  sys_cfg.pubsub.dissemination = cfg.dissemination;
-  sys_cfg.pubsub.gossip_fanout = cfg.gossip_fanout;
-  sys_cfg.pubsub.anti_entropy_period = cfg.anti_entropy_period;
-  sys_cfg.pubsub.gossip_window = cfg.gossip_window;
-  sys_cfg.pubsub.match_engine = cfg.match_engine;
-  sys_cfg.pubsub.replication_factor = cfg.replication_factor;
-  sys_cfg.chord.loss_rate = cfg.loss_rate;
-  sys_cfg.chord.max_retries = cfg.max_retries;
-  sys_cfg.chord.retry_base = cfg.retry_base;
-  sys_cfg.chord.force_reliable = fault_script->needs_reliable_transport();
+  pubsub::SystemConfig sys_cfg = cfg.sys;
+  if (fault_script->needs_reliable_transport()) {
+    sys_cfg.chord.force_reliable = true;
+  }
   // An output path without an explicit rate means "trace everything".
-  sys_cfg.trace_sample_rate = cfg.trace_sample_rate > 0.0
-                                  ? cfg.trace_sample_rate
-                                  : (cfg.trace_path.empty() ? 0.0 : 1.0);
+  if (sys_cfg.trace_sample_rate == 0.0 && !cfg.trace_path.empty()) {
+    sys_cfg.trace_sample_rate = 1.0;
+  }
 
-  pubsub::Schema schema =
-      pubsub::Schema::uniform(cfg.dimensions, cfg.attr_max);
+  pubsub::Schema schema = pubsub::Schema::uniform(kDimensions, kAttrMax);
   pubsub::PubSubSystem system(sys_cfg, schema);
 
   pubsub::DeliveryChecker checker;
@@ -230,31 +212,13 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     // fault-free figure benches keep the static ring (and its control-
     // traffic accounting) untouched.
     system.network().start_maintenance_all();
-    faults.emplace(system, *fault_script, cfg.seed);
+    faults.emplace(system, *fault_script, sys_cfg.seed);
     if (cfg.verify) faults->set_delivery_checker(&checker);
     faults->start();
   }
 
-  workload::WorkloadParams wp;
-  wp.nonselective_range_frac = cfg.nonselective_frac;
-  wp.selective_range_frac = cfg.selective_frac;
-  wp.matching_probability = cfg.matching_probability;
-  wp.zipf_exponent = cfg.zipf_exponent;
-  wp.selective.assign(cfg.dimensions, false);
-  for (int i = 0; i < cfg.selective_attributes &&
-                  i < static_cast<int>(cfg.dimensions);
-       ++i) {
-    wp.selective[static_cast<std::size_t>(i)] = true;
-  }
-  workload::WorkloadGenerator gen(schema, wp, cfg.seed * 7919 + 17);
-
-  workload::DriverParams dp;
-  dp.sub_interval = cfg.sub_interval;
-  dp.pub_mean_interval_s = cfg.pub_mean_interval_s;
-  dp.sub_ttl = cfg.sub_ttl;
-  dp.max_subscriptions = cfg.subscriptions;
-  dp.max_publications = cfg.publications;
-  dp.event_locality = cfg.event_locality;
+  workload::WorkloadGenerator gen(schema, cfg.workload,
+                                  sys_cfg.seed * 7919 + 17);
 
   // Arm the time-series sampler when asked for (explicitly or implied by
   // a metrics dump). Its periodic timer keeps the event queue alive, so
@@ -284,7 +248,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   } else {
     workload::Trace trace;
     workload::Driver driver(
-        system, gen, dp, cfg.verify ? &checker : nullptr,
+        system, gen, cfg.driver, cfg.verify ? &checker : nullptr,
         cfg.trace_save_path.empty() ? nullptr : &trace);
     driver.start();
     if (fault_script->empty() && !sampling) {

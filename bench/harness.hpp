@@ -10,53 +10,44 @@
 #include <string>
 
 #include "cbps/pubsub/system.hpp"
+#include "cbps/workload/driver.hpp"
 #include "cbps/workload/generator.hpp"
 
 namespace cbps::bench {
 
+/// The §5.1 event space: 4 integer attributes in [0, 10^6].
+inline constexpr std::size_t kDimensions = 4;
+inline constexpr Value kAttrMax = 1'000'000;
+
 struct ExperimentConfig {
-  // Topology (§5.1 defaults).
-  std::size_t nodes = 500;
-  unsigned ring_bits = 13;  // key space 2^13
-  std::uint64_t seed = 1;
+  /// The paper's evaluation setup (§5.1). It takes every library default
+  /// except these:
+  ///  - seed 1;
+  ///  - the counting index at the rendezvous nodes: it returns exactly
+  ///    the brute-force match set (the differential tests enforce this)
+  ///    at a per-event cost proportional to satisfied constraints
+  ///    instead of stored subscriptions;
+  ///  - Zipf exponent 0.7 for selective-attribute centers. The paper
+  ///    does not state its value; 0.7 reproduces the reported Figure 6/8
+  ///    shape (with s=1 a single rank-1 hotspot dominates every
+  ///    mapping's max);
+  ///  - 1000 subscriptions and 1000 publications.
+  ExperimentConfig() {
+    sys.seed = 1;
+    sys.pubsub.match_engine = pubsub::MatchEngine::kCountingIndex;
+    workload.zipf_exponent = 0.7;
+    driver.max_subscriptions = 1000;
+    driver.max_publications = 1000;
+  }
 
-  // Pub/sub layer.
-  pubsub::MappingKind mapping = pubsub::MappingKind::kSelectiveAttribute;
-  pubsub::PubSubConfig::Transport sub_transport =
-      pubsub::PubSubConfig::Transport::kUnicast;
-  pubsub::PubSubConfig::Transport pub_transport =
-      pubsub::PubSubConfig::Transport::kUnicast;
-  bool buffering = false;
-  bool collecting = false;
-  sim::SimTime buffer_period = sim::sec(5);
-  Value discretization = 1;
-
-  /// Notify-leg backend (rendezvous -> match group) plus the gossip
-  /// backend's knobs (ignored by the other backends).
-  pubsub::PubSubConfig::Dissemination dissemination =
-      pubsub::PubSubConfig::Dissemination::kUnicast;
-  std::size_t gossip_fanout = 3;
-  sim::SimTime anti_entropy_period = sim::sec(10);
-  sim::SimTime gossip_window = sim::sec(60);
-
-  // Workload (§5.1 defaults).
-  std::size_t dimensions = 4;
-  Value attr_max = 1'000'000;
-  int selective_attributes = 0;   // how many of the d attrs are selective
-  double nonselective_frac = 0.03;
-  double selective_frac = 0.001;
-  // Zipf exponent for selective-attribute centers. The paper does not
-  // state its value; 0.7 reproduces the reported Figure 6/8 shape
-  // (moderate popularity skew — with s=1 a single rank-1 hotspot
-  // dominates every mapping's max).
-  double zipf_exponent = 0.7;
-  double matching_probability = 0.5;
-  std::uint64_t subscriptions = 1000;
-  std::uint64_t publications = 1000;
-  sim::SimTime sub_interval = sim::sec(5);
-  double pub_mean_interval_s = 5.0;
-  sim::SimTime sub_ttl = sim::kSimTimeNever;  // expiration time
-  double event_locality = 0.0;  // §4.3.2 temporal locality of the stream
+  /// The simulated deployment. `sys.seed` also seeds the workload and
+  /// the fault script. With a trace_path set, a zero
+  /// `sys.trace_sample_rate` means "trace everything" (rate 1).
+  pubsub::SystemConfig sys;
+  /// Constraint shapes, selective attributes and matching probability.
+  workload::WorkloadParams workload;
+  /// Injection rates, budgets, subscription TTL and event locality.
+  workload::DriverParams driver;
 
   /// Track every operation in a DeliveryChecker and verify completeness /
   /// exactly-once at the end of the run (slower; O(subs x pubs)). When a
@@ -64,22 +55,6 @@ struct ExperimentConfig {
   /// after the script's last fault cleared: mid-fault misses to cut-off
   /// subscribers are the scenario under test, not a protocol bug.
   bool verify = false;
-
-  /// Matching engine at the rendezvous nodes. The counting index is the
-  /// default: it returns exactly the brute-force match set (the
-  /// differential tests enforce this) at a per-event cost proportional
-  /// to satisfied constraints instead of stored subscriptions.
-  pubsub::MatchEngine match_engine = pubsub::MatchEngine::kCountingIndex;
-
-  /// Subscription replication factor (§4.1).
-  std::size_t replication_factor = 0;
-
-  /// Fault injection: per-message drop probability. Non-zero arms the
-  /// overlay's ack/retry reliability layer and the pub/sub duplicate
-  /// filter; 0 leaves the wire bit-identical to a loss-free run.
-  double loss_rate = 0.0;
-  std::uint32_t max_retries = 5;
-  sim::SimTime retry_base = sim::ms(250);
 
   /// Scripted fault scenario (workload::FaultScript text; empty = none).
   /// A non-empty script starts overlay maintenance, arms the reliable
@@ -90,7 +65,7 @@ struct ExperimentConfig {
   /// Record the generated workload to this file (empty = off).
   std::string trace_save_path;
   /// Replay a previously saved workload instead of generating one
-  /// (empty = generate). Overrides subscriptions/publications counts.
+  /// (empty = generate). Overrides the driver's operation budgets.
   std::string trace_replay_path;
 
   // --- observability -------------------------------------------------------
@@ -98,10 +73,6 @@ struct ExperimentConfig {
   /// selects the line-per-span format; anything else gets Chrome
   /// trace_event JSON (loadable in chrome://tracing / Perfetto).
   std::string trace_path;
-  /// Fraction of publish/subscribe roots that start a trace. 0 with a
-  /// trace_path set means "trace everything" (rate 1); 0 without one
-  /// leaves tracing entirely off (no sink is allocated).
-  double trace_sample_rate = 0.0;
   /// Dump the metrics registry (counters, histograms with percentiles)
   /// plus the per-key hot-key tables and the time-series samples to
   /// this JSON file (empty = off).
@@ -180,7 +151,7 @@ struct ExperimentResult {
   std::uint64_t duplicates = 0;
   std::uint64_t spurious = 0;
 
-  // Fault-injection / reliability accounting (all 0 when loss_rate == 0).
+  // Fault-injection / reliability accounting (all 0 at zero loss).
   std::uint64_t messages_lost = 0;       // dropped in flight by the wire
   std::uint64_t retransmits = 0;         // timer-driven resends
   std::uint64_t sends_failed = 0;        // retry budget exhausted

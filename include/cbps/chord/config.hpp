@@ -8,6 +8,10 @@
 
 namespace cbps::chord {
 
+/// Floor of Chord's adaptive retransmission timeout (the ceiling is
+/// overlay::ReliableLink::kRtoMax, 30 s).
+inline constexpr sim::SimTime kRtoMin = sim::ms(100);
+
 struct ChordConfig {
   /// Identifier circle: keys are `ring.bits()`-bit values. The paper's
   /// simulations use a key space of size 2^13 (§5.1).
@@ -59,10 +63,6 @@ struct ChordConfig {
   /// patience, fast links get snappy recovery. retry_base remains the
   /// pre-first-sample default.
   bool adaptive_rto = true;
-
-  /// Floor of the adaptive retransmission timeout (the ceiling is
-  /// overlay::ReliableLink::kRtoMax, 30 s).
-  sim::SimTime rto_min = sim::ms(100);
 
   /// Whether the ack/retry reliability layer is active.
   bool reliable_transport() const {

@@ -78,9 +78,6 @@ struct PubSubConfig {
   /// crashed rendezvous' state survives (§4.1). 0 disables.
   std::size_t replication_factor = 0;
 
-  /// Default subscription lifetime (kSimTimeNever = no expiration).
-  sim::SimTime default_ttl = sim::kSimTimeNever;
-
   /// Matching engine at the rendezvous (brute-force scan or the
   /// counting index of Fabret et al., the paper's [6]).
   MatchEngine match_engine = MatchEngine::kBruteForce;
@@ -152,8 +149,9 @@ class PubSubNode final : public overlay::OverlayApp {
   // --- application API: the paper's sub() / pub() ----------------------
   /// Register `sub` (id and subscriber key must be filled in) for `ttl`.
   void subscribe(SubscriptionPtr sub, sim::SimTime ttl);
+  /// Register `sub` with no expiration.
   void subscribe(SubscriptionPtr sub) {
-    subscribe(std::move(sub), cfg_.default_ttl);
+    subscribe(std::move(sub), sim::kSimTimeNever);
   }
 
   /// Withdraw a previously issued subscription.

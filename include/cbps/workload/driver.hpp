@@ -75,12 +75,11 @@ class Driver {
   pubsub::DeliveryChecker* checker_;
   Trace* record_;
 
-  struct ActiveSub {
-    pubsub::SubscriptionPtr sub;
-    sim::SimTime expires_at;
-  };
-  std::vector<ActiveSub> active_;
-  std::vector<pubsub::SubscriptionPtr> active_view_;
+  // Subscriptions not yet pruned, in injection order, and their expiry
+  // times. sub_ttl is fixed, so expiries never decrease along the vector
+  // and pruning drops a prefix.
+  std::vector<pubsub::SubscriptionPtr> active_;
+  std::vector<sim::SimTime> expires_at_;
   pubsub::SubscriptionPtr locality_anchor_;  // last matched subscription
   std::vector<Value> anchor_values_;         // last non-matching point
 

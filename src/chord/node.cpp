@@ -30,7 +30,7 @@ ChordNode::ChordNode(ChordNetwork& net, Key id, std::string name,
              .max_retries = net.config().max_retries,
              .retry_base = net.config().retry_base,
              .adaptive_rto = net.config().adaptive_rto,
-             .rto_min = net.config().rto_min},
+             .rto_min = kRtoMin},
             [this](Key dead, WireMessage msg) {
               return on_send_dead(dead, std::move(msg));
             }) {}

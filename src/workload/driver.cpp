@@ -73,7 +73,9 @@ void Driver::inject_subscription() {
   const sim::SimTime expires_at = params_.sub_ttl == sim::kSimTimeNever
                                       ? sim::kSimTimeNever
                                       : now + params_.sub_ttl;
-  active_.push_back(ActiveSub{sub, expires_at});
+  CBPS_ASSERT(expires_at_.empty() || expires_at_.back() <= expires_at);
+  active_.push_back(sub);
+  expires_at_.push_back(expires_at);
   if (checker_ != nullptr) checker_->on_subscribe(sub, now, expires_at);
   if (record_ != nullptr) {
     TraceOp op;
@@ -152,18 +154,18 @@ void Driver::inject_publication() {
 }
 
 void Driver::prune_expired() {
-  const sim::SimTime now = system_.sim().now();
-  std::erase_if(active_, [now](const ActiveSub& a) {
-    return a.expires_at != sim::kSimTimeNever && a.expires_at <= now;
-  });
+  // kSimTimeNever is the largest SimTime, so the never-expiring tail is
+  // never pruned.
+  const auto live = std::upper_bound(expires_at_.begin(), expires_at_.end(),
+                                     system_.sim().now());
+  const auto expired = live - expires_at_.begin();
+  expires_at_.erase(expires_at_.begin(), live);
+  active_.erase(active_.begin(), active_.begin() + expired);
 }
 
 const std::vector<SubscriptionPtr>& Driver::active_subscriptions() {
   prune_expired();
-  active_view_.clear();
-  active_view_.reserve(active_.size());
-  for (const ActiveSub& a : active_) active_view_.push_back(a.sub);
-  return active_view_;
+  return active_;
 }
 
 }  // namespace cbps::workload

@@ -225,14 +225,14 @@ TEST(AdaptiveRtoTest, ConvergesFromRetryBaseToTheLinkRtt) {
   // The default wire is a fixed 50 ms each way, so every clean sample is
   // a 100 ms RTT; SRTT locks to it and RTTVAR decays to ~0. The RTO must
   // leave retry_base and settle just above the true RTT (clamped below
-  // by rto_min).
+  // by kRtoMin).
   for (int i = 0; i < 20; ++i) {
     h.net->node(ids[0])->send(ids[1], std::make_shared<PingPayload>());
     h.sim.run();
   }
   const sim::SimTime rto = h.net->node(ids[0])->current_rto(ids[1]);
   EXPECT_NE(rto, cfg.retry_base);
-  EXPECT_GE(rto, cfg.rto_min);
+  EXPECT_GE(rto, chord::kRtoMin);
   EXPECT_LT(rto, sim::ms(150));
   EXPECT_EQ(h.app.delivered, 20);
 }

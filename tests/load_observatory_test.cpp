@@ -36,12 +36,12 @@ std::string slurp(const std::string& path) {
 
 bench::ExperimentConfig zipf_config() {
   bench::ExperimentConfig cfg;
-  cfg.nodes = 64;
-  cfg.ring_bits = 10;
-  cfg.seed = 17;
-  cfg.subscriptions = 300;
-  cfg.publications = 300;
-  cfg.selective_attributes = 1;  // Zipf-centered rendezvous traffic
+  cfg.sys.nodes = 64;
+  cfg.sys.chord.ring = RingParams{10};
+  cfg.sys.seed = 17;
+  cfg.workload.selective = {true};  // Zipf-centered rendezvous traffic
+  cfg.driver.max_subscriptions = 300;
+  cfg.driver.max_publications = 300;
   return cfg;
 }
 

@@ -329,12 +329,12 @@ TEST(TraceIntegrityTest, TracesBitIdenticalAcrossSweepJobs) {
     sweep.set_options(opts);
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       bench::ExperimentConfig cfg;
-      cfg.nodes = 32;
-      cfg.ring_bits = 10;
-      cfg.seed = seed;
-      cfg.subscriptions = 25;
-      cfg.publications = 25;
-      cfg.trace_sample_rate = 1.0;
+      cfg.sys.nodes = 32;
+      cfg.sys.chord.ring = RingParams{10};
+      cfg.sys.seed = seed;
+      cfg.sys.trace_sample_rate = 1.0;
+      cfg.driver.max_subscriptions = 25;
+      cfg.driver.max_publications = 25;
       cfg.trace_path = trace_file(jobs, seed);
       sweep.add("seed=" + std::to_string(seed), cfg);
     }

@@ -210,9 +210,9 @@ TEST_F(PubSubNodeUnitTest, AgentSendsBatchToSubscriber) {
   auto e2 = std::make_shared<Event>();
   e2->id = 2;
   e2->values = {95};
-  node->on_deliver(
-      120, std::make_shared<CollectMsg>(std::vector<CollectItem>{
-               {KeyRange{0, 200}, 220, Notification{e2, 1}}}));
+  const Notification n2{e2, 1, /*published_at=*/0, /*trace=*/{}};
+  node->on_deliver(120, std::make_shared<CollectMsg>(std::vector<CollectItem>{
+                            {KeyRange{0, 200}, 220, n2}}));
   sim_.run();
 
   ASSERT_EQ(overlay.sent.size(), 1u);
@@ -568,6 +568,10 @@ class DeliveryCheckerTest : public ::testing::Test {
     e->values = {v};
     return e;
   }
+  // The notification of `e` for subscription 1.
+  static Notification notification(EventPtr e) {
+    return Notification{std::move(e), 1, /*published_at=*/0, /*trace=*/{}};
+  }
 };
 
 TEST_F(DeliveryCheckerTest, DetectsMissingDelivery) {
@@ -586,7 +590,7 @@ TEST_F(DeliveryCheckerTest, AcceptsCorrectDelivery) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(101));
+  checker.on_notify(42, notification(e), sim::sec(101));
   const auto report = checker.verify();
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.delivered, 1u);
@@ -598,8 +602,8 @@ TEST_F(DeliveryCheckerTest, DetectsDuplicates) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(101));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(102));
+  checker.on_notify(42, notification(e), sim::sec(101));
+  checker.on_notify(42, notification(e), sim::sec(102));
   EXPECT_EQ(checker.verify().duplicates, 1u);
 }
 
@@ -609,7 +613,7 @@ TEST_F(DeliveryCheckerTest, DetectsSpuriousDelivery) {
   const auto e = event(1, 200);  // does not match
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(101));
+  checker.on_notify(42, notification(e), sim::sec(101));
   EXPECT_EQ(checker.verify().spurious, 1u);
 }
 
@@ -619,7 +623,7 @@ TEST_F(DeliveryCheckerTest, DetectsWrongSubscriber) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(/*subscriber=*/7, Notification{e, 1}, sim::sec(101));
+  checker.on_notify(/*subscriber=*/7, notification(e), sim::sec(101));
   EXPECT_EQ(checker.verify().wrong_subscriber, 1u);
 }
 
@@ -631,8 +635,8 @@ TEST_F(DeliveryCheckerTest, DuplicateAtTheSameNodeIsOnlyADuplicate) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(101));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(102));
+  checker.on_notify(42, notification(e), sim::sec(101));
+  checker.on_notify(42, notification(e), sim::sec(102));
   const auto report = checker.verify();
   EXPECT_EQ(report.delivered, 1u);
   EXPECT_EQ(report.duplicates, 1u);
@@ -649,8 +653,8 @@ TEST_F(DeliveryCheckerTest, LateDuplicateCannotMaskAWrongFirstDelivery) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(/*subscriber=*/7, Notification{e, 1}, sim::sec(101));
-  checker.on_notify(/*subscriber=*/42, Notification{e, 1}, sim::sec(102));
+  checker.on_notify(/*subscriber=*/7, notification(e), sim::sec(101));
+  checker.on_notify(/*subscriber=*/42, notification(e), sim::sec(102));
   EXPECT_EQ(checker.verify().wrong_subscriber, 1u);
 }
 
@@ -663,8 +667,8 @@ TEST_F(DeliveryCheckerTest, DuplicateAtAnotherNodeFlagsTheMismatch) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(/*subscriber=*/42, Notification{e, 1}, sim::sec(101));
-  checker.on_notify(/*subscriber=*/7, Notification{e, 1}, sim::sec(102));
+  checker.on_notify(/*subscriber=*/42, notification(e), sim::sec(101));
+  checker.on_notify(/*subscriber=*/7, notification(e), sim::sec(102));
   EXPECT_EQ(checker.verify().wrong_subscriber, 1u);
 }
 
@@ -726,7 +730,7 @@ TEST_F(DeliveryCheckerTest, DeliveryWithinGraceRegionIsTolerated) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(100), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(101));  // inside the grace region
-  checker.on_notify(42, Notification{e, 1}, sim::sec(103));
+  checker.on_notify(42, notification(e), sim::sec(103));
   const auto report = checker.verify(/*grace=*/sim::sec(2));
   EXPECT_EQ(report.expected, 0u);
   EXPECT_EQ(report.spurious, 0u);
@@ -742,7 +746,7 @@ TEST_F(DeliveryCheckerTest, DeliveryAfterUnsubscribeIsNotSpurious) {
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_unsubscribe(1, sim::sec(50));
   checker.on_publish(e, sim::sec(60));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(61));
+  checker.on_notify(42, notification(e), sim::sec(61));
   const auto report = checker.verify();
   EXPECT_EQ(report.expected, 0u);
   EXPECT_EQ(report.spurious, 0u);
@@ -766,7 +770,7 @@ TEST_F(DeliveryCheckerTest, DeliveryBeforeSubscribeIsSpurious) {
   const auto e = event(1, 50);
   checker.on_publish(e, sim::sec(10));
   checker.on_subscribe(s, sim::sec(100), sim::kSimTimeNever);
-  checker.on_notify(42, Notification{e, 1}, sim::sec(11));
+  checker.on_notify(42, notification(e), sim::sec(11));
   EXPECT_GT(checker.verify().spurious, 0u);
 }
 

@@ -17,12 +17,12 @@ namespace {
 
 ExperimentConfig small_config(std::uint64_t seed) {
   ExperimentConfig cfg;
-  cfg.nodes = 32;
-  cfg.ring_bits = 10;
-  cfg.seed = seed;
-  cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
-  cfg.subscriptions = 30;
-  cfg.publications = 30;
+  cfg.sys.nodes = 32;
+  cfg.sys.chord.ring = RingParams{10};
+  cfg.sys.seed = seed;
+  cfg.sys.mapping = pubsub::MappingKind::kSelectiveAttribute;
+  cfg.driver.max_subscriptions = 30;
+  cfg.driver.max_publications = 30;
   cfg.verify = true;
   return cfg;
 }

@@ -231,14 +231,29 @@ TEST(DriverTest, ActiveSubscriptionsPrunedByTtl) {
   DriverParams dp;
   dp.sub_interval = sim::sec(5);
   dp.sub_ttl = sim::sec(40);
-  dp.max_subscriptions = 1000;
+  dp.max_subscriptions = 30;
   dp.max_publications = 0;
-  Driver driver(system, gen, dp);
+  Trace record;
+  Driver driver(system, gen, dp, nullptr, &record);
   driver.start();
-  system.run_for(sim::sec(300));
-  // Steady state: ~40/5 = 8 active.
-  EXPECT_NEAR(static_cast<double>(driver.active_subscriptions().size()),
-              8.0, 2.0);
+  // Subscription k is injected at 5k s and expires at 5k + 40 s; the
+  // stops land before, on and after expiry instants.
+  for (const sim::SimTime stop : {sim::sec(3), sim::sec(45), sim::sec(47),
+                                  sim::sec(90), sim::sec(150),
+                                  sim::sec(400)}) {
+    system.sim().run_until(stop);
+    std::vector<SubscriptionId> expected;
+    for (const TraceOp& op : record.ops()) {
+      if (op.at + dp.sub_ttl > stop) expected.push_back(op.sub_id);
+    }
+    std::vector<SubscriptionId> active;
+    for (const auto& sub : driver.active_subscriptions()) {
+      active.push_back(sub->id);
+    }
+    EXPECT_EQ(active, expected) << "at " << sim::to_seconds(stop) << " s";
+  }
+  EXPECT_EQ(record.size(), 30u);
+  EXPECT_TRUE(driver.active_subscriptions().empty());
 }
 
 TEST(DriverTest, CheckerIntegratedRunIsCorrect) {
